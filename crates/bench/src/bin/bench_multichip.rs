@@ -40,8 +40,7 @@
 //! Writes `results/BENCH_multichip.json` (schema
 //! `nebula-bench-multichip/2`, documented in `EXPERIMENTS.md`).
 //! `NEBULA_MULTICHIP_SAMPLES` overrides the batch rows (CI smoke runs
-//! 2); `NEBULA_MULTICHIP_DEPTH` overrides the ANN micro-batch depth;
-//! `NEBULA_THREADS` sizes the worker pool the pipeline claimants ride.
+//! 2); `NEBULA_THREADS` sizes the worker pool the pipeline claimants ride.
 //! The binary aborts on any divergence.
 
 use std::time::Instant;
@@ -441,7 +440,7 @@ fn main() {
     let hw_threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let cfg = PipelineConfig::from_env();
+    let cfg = PipelineConfig::default();
     let energy_model = EnergyModel::default();
 
     // --- Plan study: VGG/13 SNN layer-pipelined across cluster sizes --

@@ -200,13 +200,11 @@ impl ProgrammedMatrix {
     /// relative error ≤ 1e-12.
     ///
     /// Input rows are supplied by an index accessor instead of a
-    /// materialized `&[&[f32]]`, and the worker count is explicit. The
-    /// accessor form lets callers that window a flat activation buffer
-    /// (the multi-chip sharded executors slice `[lo, hi)` out of every
-    /// row) feed the crossbars without building a fresh slice vector
-    /// per call; the explicit worker count lets the pipeline executor
-    /// force single-threaded evaluation inside a pipeline stage
-    /// (`workers == 1` never touches the pool).
+    /// materialized `&[&[f32]]`, so callers slicing a flat activation
+    /// buffer build no slice vector per call. The worker count is
+    /// explicit so the pipeline executor can force single-threaded
+    /// evaluation inside a pipeline stage (`workers == 1` never touches
+    /// the pool).
     pub(crate) fn dot_batch_with<'d>(
         &mut self,
         n: usize,
@@ -333,35 +331,6 @@ impl ProgrammedMatrix {
             .map(SuperTile::kernel_cache_bytes)
             .sum()
     }
-
-    /// Splits an already-programmed matrix into one single-segment
-    /// matrix per `16M`-row segment, **moving** the programmed tiles
-    /// (never re-programming): the weight clip is computed from the
-    /// whole matrix, so a shard evaluated in isolation produces exactly
-    /// the per-segment partial sums the unified matrix accumulates
-    /// internally. This is how tensor sharding distributes one wide
-    /// layer across chips while keeping every bit and every accrued
-    /// joule attributable to the same physical tile.
-    pub(crate) fn split_segments(self) -> Vec<ProgrammedMatrix> {
-        let Self {
-            tiles,
-            segment_rows,
-            cols,
-            x_scale,
-            ..
-        } = self;
-        tiles
-            .into_iter()
-            .zip(segment_rows)
-            .map(|(groups, rows)| ProgrammedMatrix {
-                tiles: vec![groups],
-                segment_rows: vec![rows],
-                cols,
-                rf: rows,
-                x_scale,
-            })
-            .collect()
-    }
 }
 
 /// One compiled stage of an analog network.
@@ -386,6 +355,16 @@ pub(crate) enum AnalogStage {
         k: usize,
     },
     Flatten,
+}
+
+impl AnalogStage {
+    /// The programmed crossbars of a synaptic stage.
+    pub(crate) fn matrix(&self) -> Option<&ProgrammedMatrix> {
+        match self {
+            AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => Some(matrix),
+            _ => None,
+        }
+    }
 }
 
 /// A network compiled onto crossbar hardware models.
@@ -661,39 +640,32 @@ impl AnalogNetwork {
     pub fn supertile_count(&self) -> usize {
         self.stages
             .iter()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.supertile_count()
-                }
-                _ => 0,
-            })
+            .filter_map(AnalogStage::matrix)
+            .map(ProgrammedMatrix::supertile_count)
             .sum()
+    }
+
+    /// `energy` of every stage in stage order, `Joules::ZERO` for stages
+    /// without crossbars. Summing it gives the network total; a sharded
+    /// network folds its units' stages into one sum the same way, so
+    /// the totals agree bit for bit.
+    pub(crate) fn stage_energies(
+        &self,
+        energy: fn(&ProgrammedMatrix) -> Joules,
+    ) -> impl Iterator<Item = Joules> + '_ {
+        self.stages
+            .iter()
+            .map(move |s| s.matrix().map_or(Joules::ZERO, energy))
     }
 
     /// Total analog read energy accrued across all crossbars.
     pub fn read_energy(&self) -> Joules {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.read_energy()
-                }
-                _ => Joules::ZERO,
-            })
-            .sum()
+        self.stage_energies(ProgrammedMatrix::read_energy).sum()
     }
 
     /// Total programming energy spent writing the weights.
     pub fn program_energy(&self) -> Joules {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.program_energy()
-                }
-                _ => Joules::ZERO,
-            })
-            .sum()
+        self.stage_energies(ProgrammedMatrix::program_energy).sum()
     }
 }
 

@@ -264,33 +264,6 @@ impl SnnMatrix {
             .map(SuperTile::kernel_cache_bytes)
             .sum()
     }
-
-    /// Splits a programmed matrix into one single-segment matrix per
-    /// R_f segment, *moving* the already-programmed [`SuperTile`]s — no
-    /// reprogramming, so every cell keeps the exact conductances (the
-    /// clip was computed over the whole weight matrix before the split).
-    /// Shard `s` computes exactly the per-segment partial the unsplit
-    /// matrix adds for segment `s`, which is what makes the multi-chip
-    /// tensor-sharded reduction bit-identical (see
-    /// [`crate::multichip`]).
-    pub(crate) fn split_segments(self) -> Vec<SnnMatrix> {
-        let SnnMatrix {
-            tiles,
-            segment_rows,
-            cols,
-            ..
-        } = self;
-        tiles
-            .into_iter()
-            .zip(segment_rows)
-            .map(|(groups, rows)| SnnMatrix {
-                tiles: vec![groups],
-                segment_rows: vec![rows],
-                cols,
-                rf: rows,
-            })
-            .collect()
-    }
 }
 
 /// Active-row (spiking) index lists for a batch of crossbar waves, in
@@ -331,7 +304,7 @@ impl SpikeBatch {
         self.starts.push(self.idx.len());
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.starts.len() - 1
     }
 
@@ -345,26 +318,6 @@ impl SpikeBatch {
         &self.idx[self.starts[i]..self.starts[i + 1]]
     }
 
-    /// Rebuilds `out` as the restriction of this batch to receptive-field
-    /// window `[lo, hi)`, rebasing every surviving index by `-lo` — the
-    /// gather a tensor-sharded chip performs on the full spike wave
-    /// before driving its own R_f segment. Because indices are strictly
-    /// ascending per item, the window is located with two binary
-    /// searches per item, exactly like the per-segment slicing inside
-    /// [`SnnMatrix::dot_spikes_batch_active`] — so a shard sees exactly
-    /// the active set the unsplit matrix's segment would.
-    pub(crate) fn slice_window(&self, lo: usize, hi: usize, out: &mut SpikeBatch) {
-        out.clear();
-        for i in 0..self.len() {
-            let acts = self.item(i);
-            let s_lo = acts.partition_point(|&g| (g as usize) < lo);
-            let s_hi = acts.partition_point(|&g| (g as usize) < hi);
-            out.idx
-                .extend(acts[s_lo..s_hi].iter().map(|&g| g - lo as u32));
-            out.push_item();
-        }
-    }
-
     /// Rebuilds the batch in place from dense spike vectors — `data` is
     /// `n` rows of `row_len` values and row `i`'s active (`v > 0.5`)
     /// indices are gathered in ascending order. A branch-free counting
@@ -373,7 +326,7 @@ impl SpikeBatch {
     /// the first IF layer are mostly silent, so most blocks are
     /// dismissed with ~1 op/element. Retained capacity makes this
     /// allocation-free once the batch has seen its peak activity.
-    pub(crate) fn gather_dense(&mut self, data: &[f32], row_len: usize) {
+    fn gather_dense(&mut self, data: &[f32], row_len: usize) {
         self.clear();
         for spikes in data.chunks(row_len.max(1)) {
             let mut base = 0u32;
@@ -419,7 +372,7 @@ pub(crate) struct EventScratch {
 /// in `im2col`, hence inactive) emitted in the identical ascending
 /// `(ch, ky, kx)` order, so the downstream crossbar evaluation is
 /// bit-identical.
-pub(crate) fn gather_conv_patches(
+fn gather_conv_patches(
     scratch: &mut EventScratch,
     data: &[f32],
     [n, c, h, w]: [usize; 4],
@@ -559,6 +512,18 @@ pub(crate) enum SpikingAnalogStage {
     Flatten,
 }
 
+impl SpikingAnalogStage {
+    /// The programmed crossbars of a synaptic stage.
+    pub(crate) fn matrix(&self) -> Option<&SnnMatrix> {
+        match self {
+            SpikingAnalogStage::Dense { matrix, .. } | SpikingAnalogStage::Conv { matrix, .. } => {
+                Some(matrix)
+            }
+            _ => None,
+        }
+    }
+}
+
 /// A spiking network executing its synaptic arithmetic on SNN-mode
 /// crossbar models.
 ///
@@ -651,13 +616,8 @@ impl AnalogSpikingNetwork {
     pub fn supertile_count(&self) -> usize {
         self.stages
             .iter()
-            .map(|s| match s {
-                SpikingAnalogStage::Dense { matrix, .. }
-                | SpikingAnalogStage::Conv { matrix, .. } => {
-                    matrix.tiles.iter().map(Vec::len).sum()
-                }
-                _ => 0,
-            })
+            .filter_map(SpikingAnalogStage::matrix)
+            .map(|m| m.tiles.iter().map(Vec::len).sum::<usize>())
             .sum()
     }
 
@@ -868,27 +828,8 @@ impl AnalogSpikingNetwork {
         timesteps: usize,
         groups: &[(usize, u64)],
     ) -> Result<Tensor, AnalogError> {
-        let n = *inputs
-            .shape()
-            .first()
-            .ok_or_else(|| AnalogError::BadGeometry {
-                reason: "rank-0 input".into(),
-            })?;
-        let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
-        if total != n {
-            return Err(AnalogError::BadGeometry {
-                reason: format!("seeded groups cover {total} rows, batch has {n}"),
-            });
-        }
-        let row_elems = inputs.len().checked_div(n).unwrap_or(0);
-        let encoding = self.encoding;
-        let mut rngs: Vec<rand::rngs::StdRng> = groups
-            .iter()
-            .map(|&(_, seed)| rand::SeedableRng::seed_from_u64(seed))
-            .collect();
-        self.run_with_encoder(inputs, timesteps, false, &mut |x: &Tensor| {
-            encode_groups(encoding, x, row_elems, groups, &mut rngs)
-        })
+        let mut encode = seeded_group_encoder(self.encoding, inputs, groups)?;
+        self.run_with_encoder(inputs, timesteps, false, &mut encode)
     }
 
     fn run_impl<R: Rng + ?Sized>(
@@ -1128,17 +1069,21 @@ impl AnalogSpikingNetwork {
         Ok(correct as f64 / labels.len().max(1) as f64)
     }
 
+    /// Read energy of every stage in stage order, `Joules::ZERO` for
+    /// stages without crossbars. Summing it gives
+    /// [`read_energy`](Self::read_energy); a sharded network folds its
+    /// units' stages into one sum the same way, so the totals agree bit
+    /// for bit.
+    pub(crate) fn stage_read_energies(&self) -> impl Iterator<Item = Joules> + '_ {
+        self.stages
+            .iter()
+            .map(|s| s.matrix().map_or(Joules::ZERO, SnnMatrix::read_energy))
+    }
+
     /// Total analog read energy the crossbars dissipated — the
     /// event-driven energy figure (silent rows are free).
     pub fn read_energy(&self) -> Joules {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                SpikingAnalogStage::Dense { matrix, .. }
-                | SpikingAnalogStage::Conv { matrix, .. } => matrix.read_energy(),
-                _ => Joules::ZERO,
-            })
-            .sum()
+        self.stage_read_energies().sum()
     }
 
     /// Crossbar waves executed (one per sample per output position per
@@ -1148,43 +1093,65 @@ impl AnalogSpikingNetwork {
     }
 }
 
-/// Encodes one timestep for independently seeded request groups:
-/// group `(rows, _)` covers the next `rows` batch rows and draws from
-/// its own RNG stream, elementwise in row-major order — exactly the
-/// draws (Poisson) or values (Constant) a solo [`encode_with`] over
-/// that group's rows would produce. Shared by
-/// [`AnalogSpikingNetwork::run_seeded_groups`] and the multi-chip
-/// executor's seeded-group entry point, which is what keeps the two
-/// serving paths bit-identical.
-pub(crate) fn encode_groups(
+/// Checks that `groups` partitions the batch rows of `inputs`, then
+/// returns the per-timestep encoder for them: group `(rows, seed)`
+/// covers the next `rows` batch rows and draws from its own
+/// [`rand::rngs::StdRng`] seeded with `seed`, elementwise in row-major
+/// order — exactly the draws (Poisson) or values (Constant) a solo
+/// [`encode_with`] over that group's rows would produce. Every
+/// seeded-groups entry point, single-chip and sharded, encodes through
+/// this, which is what keeps the serving paths bit-identical.
+///
+/// # Errors
+///
+/// Returns [`AnalogError::BadGeometry`] for a rank-0 input or when the
+/// group row counts don't sum to the batch size.
+pub(crate) fn seeded_group_encoder<'g>(
     encoding: InputEncoding,
-    x: &Tensor,
-    row_elems: usize,
-    groups: &[(usize, u64)],
-    rngs: &mut [rand::rngs::StdRng],
-) -> Tensor {
-    let mut t = Tensor::zeros(x.shape());
-    let mut offset = 0usize;
-    for (&(rows, _), rng) in groups.iter().zip(rngs.iter_mut()) {
-        let lo = offset * row_elems;
-        let hi = (offset + rows) * row_elems;
-        match encoding {
-            InputEncoding::Poisson => {
-                for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
-                    if rng.gen::<f32>() < p.clamp(0.0, 1.0) {
-                        *d = 1.0;
+    inputs: &Tensor,
+    groups: &'g [(usize, u64)],
+) -> Result<impl FnMut(&Tensor) -> Tensor + Send + 'g, AnalogError> {
+    let n = *inputs
+        .shape()
+        .first()
+        .ok_or_else(|| AnalogError::BadGeometry {
+            reason: "rank-0 input".into(),
+        })?;
+    let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
+    if total != n {
+        return Err(AnalogError::BadGeometry {
+            reason: format!("seeded groups cover {total} rows, batch has {n}"),
+        });
+    }
+    let row_elems = inputs.len().checked_div(n).unwrap_or(0);
+    let mut rngs: Vec<rand::rngs::StdRng> = groups
+        .iter()
+        .map(|&(_, seed)| rand::SeedableRng::seed_from_u64(seed))
+        .collect();
+    Ok(move |x: &Tensor| {
+        let mut t = Tensor::zeros(x.shape());
+        let mut offset = 0usize;
+        for (&(rows, _), rng) in groups.iter().zip(rngs.iter_mut()) {
+            let lo = offset * row_elems;
+            let hi = (offset + rows) * row_elems;
+            match encoding {
+                InputEncoding::Poisson => {
+                    for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
+                        if rng.gen::<f32>() < p.clamp(0.0, 1.0) {
+                            *d = 1.0;
+                        }
+                    }
+                }
+                InputEncoding::Constant => {
+                    for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
+                        *d = p.clamp(0.0, 1.0);
                     }
                 }
             }
-            InputEncoding::Constant => {
-                for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
-                    *d = p.clamp(0.0, 1.0);
-                }
-            }
+            offset += rows;
         }
-        offset += rows;
-    }
-    t
+        t
+    })
 }
 
 /// Encodes one timestep of input under `encoding`, drawing from `rng`

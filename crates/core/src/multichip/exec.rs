@@ -61,9 +61,10 @@
 //!   stage processes items in ascending order (a stage is claimed by at
 //!   most one worker at a time), so the concatenated / accumulated
 //!   outputs equal the sequential walk bit for bit.
-//! * **Energy** — each tile is owned by exactly one stage and sees its
-//!   items in ascending order, so the per-AC accrual fold runs in
-//!   exactly the sequential order.
+//! * **Energy and waves** — each tile and each wave counter is owned by
+//!   exactly one stage's network and sees its items in ascending order,
+//!   so the per-AC accrual fold and the wave count run in exactly the
+//!   sequential order.
 //! * **NoC traffic** — ring ops mutate the shared [`ChipCluster`], so
 //!   stages record [`TrafficOp`]s into a private [`TrafficJournal`]
 //!   and the join replays them in canonical (stage-major,
@@ -77,8 +78,6 @@
 //!   SNN journals keep one op per timestep, mirroring the sequential
 //!   per-timestep (and silence-gated) transfers; all traffic counters
 //!   are additive, so the stage-major replay lands on identical totals.
-//! * **Waves** — journaled per stage as a plain sum and added at the
-//!   join.
 //!
 //! Routing failures (dead ring links) therefore surface at the join,
 //! from the replay, with the same [`AnalogError::Noc`] the sequential
@@ -86,7 +85,7 @@
 //! replay may differ from the sequential path's partial state (the
 //! error itself, and all success-path counters, do not).
 
-use super::AnalogError;
+use super::{AnalogError, Unit, UnitNet};
 use nebula_noc::ChipCluster;
 use nebula_tensor::Tensor;
 use std::collections::VecDeque;
@@ -118,23 +117,6 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    /// Default config with the micro-batch depth overridable through
-    /// the `NEBULA_MULTICHIP_DEPTH` environment variable (positive
-    /// integer; anything else keeps the default).
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("NEBULA_MULTICHIP_DEPTH") {
-            if let Ok(d) = v.trim().parse::<usize>() {
-                if d >= 1 {
-                    cfg.micro_batch = d;
-                }
-            }
-        }
-        cfg
-    }
-}
-
 /// One ring transaction recorded by a pipeline stage for sequential
 /// replay at the join point.
 #[derive(Debug, Clone)]
@@ -151,8 +133,8 @@ pub(crate) enum TrafficOp {
     },
 }
 
-/// Where a unit executor's traffic and wave accounting goes: straight
-/// to the cluster (sequential walk) or into a journal (pipeline stage).
+/// Where a unit's traffic accounting goes: straight to the live
+/// cluster (sequential walk) or into a journal (pipeline stage).
 pub(crate) trait TrafficSink {
     fn send(&mut self, src: usize, dst: usize, bits: u64) -> Result<(), AnalogError>;
     fn shard(
@@ -162,20 +144,12 @@ pub(crate) trait TrafficSink {
         in_bits: u64,
         out_bits: u64,
     ) -> Result<(), AnalogError>;
-    fn add_waves(&mut self, n: u64);
 }
 
-/// The sequential sink: applies every op to the live cluster at the
-/// moment the unit executes — today's behavior, unchanged.
-pub(crate) struct LiveSink<'a> {
-    pub(crate) cluster: &'a mut ChipCluster,
-    pub(crate) extra_waves: &'a mut u64,
-}
-
-impl TrafficSink for LiveSink<'_> {
+/// The sequential sink: every op hits the cluster as the unit executes.
+impl TrafficSink for ChipCluster {
     fn send(&mut self, src: usize, dst: usize, bits: u64) -> Result<(), AnalogError> {
-        self.cluster
-            .send(super::portal(src), super::portal(dst), bits)?;
+        ChipCluster::send(self, super::portal(src), super::portal(dst), bits)?;
         Ok(())
     }
 
@@ -186,11 +160,7 @@ impl TrafficSink for LiveSink<'_> {
         in_bits: u64,
         out_bits: u64,
     ) -> Result<(), AnalogError> {
-        super::account_shard_traffic(self.cluster, home, remote, in_bits, out_bits)
-    }
-
-    fn add_waves(&mut self, n: u64) {
-        *self.extra_waves += n;
+        super::account_shard_traffic(self, home, remote, in_bits, out_bits)
     }
 }
 
@@ -203,7 +173,6 @@ impl TrafficSink for LiveSink<'_> {
 pub(crate) struct TrafficJournal {
     ops: Vec<TrafficOp>,
     coalesce: bool,
-    waves: u64,
 }
 
 impl TrafficJournal {
@@ -211,23 +180,23 @@ impl TrafficJournal {
         Self {
             ops: Vec::new(),
             coalesce,
-            waves: 0,
         }
     }
 
     /// Applies this journal to the live cluster, in recorded (item-
     /// ascending) order.
-    pub(crate) fn replay(&self, sink: &mut LiveSink<'_>) -> Result<(), AnalogError> {
-        sink.add_waves(self.waves);
+    fn replay(&self, cluster: &mut ChipCluster) -> Result<(), AnalogError> {
         for op in &self.ops {
             match op {
-                TrafficOp::Send { src, dst, bits } => sink.send(*src, *dst, *bits)?,
+                TrafficOp::Send { src, dst, bits } => {
+                    TrafficSink::send(cluster, *src, *dst, *bits)?
+                }
                 TrafficOp::Shard {
                     home,
                     remote,
                     in_bits,
                     out_bits,
-                } => sink.shard(*home, remote, *in_bits, *out_bits)?,
+                } => cluster.shard(*home, remote, *in_bits, *out_bits)?,
             }
         }
         Ok(())
@@ -275,10 +244,6 @@ impl TrafficSink for TrafficJournal {
             out_bits,
         });
         Ok(())
-    }
-
-    fn add_waves(&mut self, n: u64) {
-        self.waves += n;
     }
 }
 
@@ -437,8 +402,44 @@ pub(crate) fn run_pipeline(
         .collect())
 }
 
+/// Streams `items` through `units`, one pipeline stage per unit (see
+/// [`run_pipeline`]), then replays every stage's journal against
+/// `cluster` in stage-major, item-ascending order. The replay is where
+/// dead-link routing failures surface, exactly as the sequential walk
+/// would raise them. `coalesce` selects the ANN journal behaviour (see
+/// [`TrafficJournal`]).
+pub(crate) fn run_units<N: UnitNet + Send>(
+    units: &mut [Unit<N>],
+    cluster: &mut ChipCluster,
+    items: usize,
+    source: SourceFn<'_>,
+    cfg: &PipelineConfig,
+    coalesce: bool,
+) -> Result<Vec<Tensor>, AnalogError> {
+    let workers = effective_workers(cfg, units.len());
+    let sw = stage_workers(workers);
+    let mut journals: Vec<TrafficJournal> = units
+        .iter()
+        .map(|_| TrafficJournal::new(coalesce))
+        .collect();
+    let mut prev = None;
+    let stages: Vec<StageFn<'_>> = units
+        .iter_mut()
+        .zip(journals.iter_mut())
+        .map(|(unit, journal)| {
+            let from = prev.replace(unit.chip);
+            Box::new(move |_idx: usize, h: Tensor| unit.step(from, h, journal, sw)) as StageFn<'_>
+        })
+        .collect();
+    let outs = run_pipeline(items, source, stages, workers, cfg.queue_capacity)?;
+    for journal in &journals {
+        journal.replay(cluster)?;
+    }
+    Ok(outs)
+}
+
 /// Effective claimant count for a config over an `n_stages` pipeline.
-pub(crate) fn effective_workers(cfg: &PipelineConfig, n_stages: usize) -> usize {
+fn effective_workers(cfg: &PipelineConfig, n_stages: usize) -> usize {
     let w = if cfg.workers == 0 {
         nebula_tensor::pool::size()
     } else {
@@ -450,7 +451,7 @@ pub(crate) fn effective_workers(cfg: &PipelineConfig, n_stages: usize) -> usize 
 /// Worker count stage bodies may use: full pool parallelism when the
 /// pipeline is degenerate (one claimant), strictly inline otherwise —
 /// see the module docs for why nested pool dispatch is forbidden there.
-pub(crate) fn stage_workers(pipeline_workers: usize) -> usize {
+fn stage_workers(pipeline_workers: usize) -> usize {
     if pipeline_workers > 1 {
         1
     } else {
@@ -581,15 +582,5 @@ mod tests {
         snn.send(0, 1, 40).unwrap();
         snn.send(0, 1, 24).unwrap();
         assert_eq!(snn.ops.len(), 2, "per-timestep ops stay separate");
-    }
-
-    #[test]
-    fn from_env_depth_override_parses() {
-        // Uses the public parse path without mutating the process env:
-        // default when unset is checked here, the override itself is
-        // exercised by the bench under CI.
-        let cfg = PipelineConfig::from_env();
-        assert!(cfg.micro_batch >= 1);
-        assert!(cfg.queue_capacity >= 1);
     }
 }

@@ -17,25 +17,25 @@
 //!   layer wider than one chip's core pool runnable at all.
 //!
 //! The functional executors ([`ShardedAnalogNetwork`],
-//! [`ShardedSpikingNetwork`]) are built by *splitting an
-//! already-compiled* single-chip network — programmed [`SuperTile`]s
-//! move, they are never reprogrammed — and their outputs, wave counts
+//! [`ShardedSpikingNetwork`]) are built by *cutting an already-compiled*
+//! single-chip network into units — contiguous stage spans, each a
+//! single-chip network of its own whose programmed [`SuperTile`]s moved
+//! there, never reprogrammed. Every unit runs through the single-chip
+//! stage code ([`AnalogNetwork`]'s forward pass, or
+//! [`AnalogSpikingNetwork`]'s timestep step), so outputs, wave counts
 //! and (scalar-path) energy counters are **bit-identical** to the
-//! single-chip engine. The bitwise argument:
+//! single-chip engine:
 //!
 //! * Pipelined: a forward pass is a left-to-right fold over stages, so
-//!   splitting the stage list at any boundary changes no operation.
-//! * Tensor-sharded: the single-chip matrix already accumulates
-//!   per-segment partials in ascending segment order
-//!   (`out[c] += contribution(seg)` — exactly one f32 add per segment
-//!   per column). A shard *is* one segment (see
-//!   `ProgrammedMatrix::split_segments`), computes the identical
-//!   contribution with the identical tiles, and the reducer adds shard
-//!   outputs in the same ascending segment order starting from `0.0`.
-//!   The only representable difference is `-0.0` vs `+0.0` partials,
-//!   and `0.0 + x` normalizes `-0.0` to `+0.0` in both engines, so all
-//!   bits match (asserted exhaustively in
-//!   `tests/multichip_equivalence.rs`).
+//!   cutting the stage list at any boundary changes no operation.
+//! * Tensor-sharded: a wide layer stays one whole matrix in a unit of
+//!   its own and is evaluated exactly as on one chip — its segments'
+//!   partial sums are added in ascending segment order inside the
+//!   matrix. Segment placement (segment `s` on chip `s % chips`) only
+//!   decides which remote chips the layer's traffic is priced for.
+//! * Energy: the totals fold every stage's energy, across all units,
+//!   into one running sum in stage order — the single-chip additions,
+//!   not per-chip subtotals, which would re-associate the sum.
 //!
 //! Inter-chip traffic is accounted through a
 //! [`nebula_noc::ChipCluster`]: one ring `send` per pipeline boundary
@@ -64,15 +64,11 @@ mod exec;
 
 pub use exec::PipelineConfig;
 
-use exec::{
-    effective_workers, run_pipeline, stage_workers, LiveSink, SourceFn, StageFn, TrafficJournal,
-    TrafficSink,
-};
+use exec::{run_units, SourceFn, TrafficSink};
 
 use crate::analog::{AnalogError, AnalogNetwork, AnalogStage, ProgrammedMatrix};
 use crate::analog_snn::{
-    encode_groups, encode_with, gather_conv_patches, AnalogSpikingNetwork, EventScratch, SnnMatrix,
-    SpikeBatch, SpikingAnalogStage,
+    encode_with, seeded_group_encoder, AnalogSpikingNetwork, SpikingAnalogStage,
 };
 use crate::capacity::CapacityExceeded;
 use crate::chip::ChipConfig;
@@ -84,7 +80,7 @@ use nebula_device::units::Joules;
 use nebula_nn::snn::InputEncoding;
 use nebula_nn::stats::LayerDescriptor;
 use nebula_noc::{ChipCluster, ClusterNode, MeshTopology, NodeId, TrafficStats, LINK_HOP_CYCLES};
-use nebula_tensor::{ConvGeometry, Tensor};
+use nebula_tensor::Tensor;
 use rand::Rng;
 
 /// Bits per inter-chip activation in ANN mode (4-bit quantized values).
@@ -291,23 +287,15 @@ fn portal(chip: usize) -> ClusterNode {
     }
 }
 
-/// Partitions per-stage crossbar costs into contiguous chip spans and
-/// returns the chip index per stage (nondecreasing from 0). Stages with
-/// no crossbars (activations, pooling) cost nothing and ride with their
-/// neighbours.
-fn assign_spans(costs: &[u64], chips: usize) -> Vec<usize> {
-    mapper::partition_balanced(costs, chips.max(1))
-}
-
-/// Unique shard chips other than `home`, in first-seen (segment) order.
-fn remote_chips(shard_chips: impl Iterator<Item = usize>, home: usize) -> Vec<usize> {
-    let mut remote = Vec::new();
-    for c in shard_chips {
-        if c != home && !remote.contains(&c) {
-            remote.push(c);
-        }
-    }
-    remote
+/// Tensor-sharded placement of a stage with `segments` row segments
+/// (1 for a stage without crossbars): always the home chip, plus — for
+/// a multi-segment layer, whose segment `s` sits on chip `s % chips` —
+/// the other chips holding a segment, in first-seen order.
+fn shard_placement(segments: usize, chips: usize) -> (usize, Option<Vec<usize>>) {
+    (
+        HOME,
+        (segments > 1).then(|| (HOME + 1..segments.min(chips)).collect()),
+    )
 }
 
 /// Accounts one tensor-sharded stage's ring traffic: the home chip
@@ -333,185 +321,146 @@ fn account_shard_traffic(
 }
 
 // ---------------------------------------------------------------------
-// ANN executor
+// Units: single-chip network spans placed on the ring
 // ---------------------------------------------------------------------
 
-/// One row-window shard of a synaptic layer: a single-segment matrix
-/// living on `chip`, driving receptive-field rows `[lo, hi)`.
+/// A contiguous span of a compiled network's stages, run by the
+/// single-chip code on chip `chip`. A tensor-sharded unit is one wide
+/// synaptic stage on [`HOME`]; `remote` lists the other chips holding
+/// its segments and only prices the ring traffic the layer causes.
 #[derive(Debug, Clone)]
-struct AnnShard {
-    chip: usize,
-    lo: usize,
-    hi: usize,
-    matrix: ProgrammedMatrix,
+pub(crate) struct Unit<N> {
+    pub(crate) chip: usize,
+    net: N,
+    remote: Vec<usize>,
 }
 
-fn shard_ann_matrix(matrix: ProgrammedMatrix, chips: usize) -> Vec<AnnShard> {
-    let mut lo = 0usize;
-    matrix
-        .split_segments()
-        .into_iter()
-        .enumerate()
-        .map(|(s, m)| {
-            let hi = lo + m.rf;
-            let shard = AnnShard {
-                chip: s % chips,
-                lo,
-                hi,
-                matrix: m,
-            };
-            lo = hi;
-            shard
-        })
-        .collect()
+/// A single-chip network a [`Unit`] runs.
+pub(crate) trait UnitNet {
+    /// Ring payload of one activation wave `h`, in bits.
+    fn wave_bits(h: &Tensor) -> u64;
+
+    /// Runs one wave through every stage; `true` alongside the output
+    /// when the first stage's crossbars were driven (a tensor-sharded
+    /// unit only ships traffic then).
+    fn eval(&mut self, h: Tensor, workers: usize) -> Result<(Tensor, bool), AnalogError>;
 }
 
-#[derive(Debug, Clone)]
-enum AnnUnit {
-    /// A contiguous span of stages executing whole on one chip.
-    Whole { chip: usize, net: AnalogNetwork },
-    /// A dense layer split row-wise across chips.
-    Dense {
-        shards: Vec<AnnShard>,
-        bias: Vec<f32>,
-        cols: usize,
-        rf: usize,
-        /// Shard chips other than home, fixed at construction.
-        remote: Vec<usize>,
-        /// Reusable partial-sum accumulator (no steady-state allocs).
-        acc: Vec<f32>,
-    },
-    /// A convolution split row-wise (along `C·KH·KW`) across chips.
-    Conv {
-        shards: Vec<AnnShard>,
-        bias: Vec<f32>,
-        geom: ConvGeometry,
-        out_channels: usize,
-        cols: usize,
-        rf: usize,
-        /// Shard chips other than home, fixed at construction.
-        remote: Vec<usize>,
-        /// Reusable partial-sum accumulator (no steady-state allocs).
-        acc: Vec<f32>,
-    },
-}
+impl UnitNet for AnalogNetwork {
+    fn wave_bits(h: &Tensor) -> u64 {
+        h.len() as u64 * ANN_ACT_BITS
+    }
 
-impl AnnUnit {
-    fn chip(&self) -> usize {
-        match self {
-            AnnUnit::Whole { chip, .. } => *chip,
-            _ => HOME,
-        }
+    fn eval(&mut self, h: Tensor, workers: usize) -> Result<(Tensor, bool), AnalogError> {
+        Ok((self.forward_with_workers(&h, workers)?, true))
     }
 }
 
-/// Advances one ANN unit by one wave: pure evaluation against the
-/// unit's own tiles and scratch, with all shared accounting routed
-/// through `sink` — the live cluster on the sequential walk, a
-/// per-stage journal on the pipelined one. `workers` bounds intra-unit
-/// pool parallelism (1 inside a multi-claimant pipeline stage).
-fn exec_ann_unit<S: TrafficSink>(
-    unit: &mut AnnUnit,
-    h: &Tensor,
-    sink: &mut S,
-    workers: usize,
+impl UnitNet for AnalogSpikingNetwork {
+    fn wave_bits(h: &Tensor) -> u64 {
+        (h.len() as u64 * SNN_ACT_BITS).max(1)
+    }
+
+    fn eval(&mut self, h: Tensor, workers: usize) -> Result<(Tensor, bool), AnalogError> {
+        let len = self.stages.len();
+        let out = self.step_range_with(h, 0..len, false, workers)?;
+        // The layer's own gather decides, not the input tensor: a
+        // strided conv can leave spiking pixels outside every patch.
+        let driven = matches!(
+            self.stages.first(),
+            Some(
+                SpikingAnalogStage::Dense { scratch, .. } | SpikingAnalogStage::Conv { scratch, .. }
+            ) if !scratch.batch.is_silent()
+        );
+        Ok((out, driven))
+    }
+}
+
+impl<N: UnitNet> Unit<N> {
+    /// Advances one wave: the ring transfer from the previous unit's
+    /// chip `from`, the span's single-chip evaluation, then — for a
+    /// tensor-sharded unit whose crossbars were driven — the input
+    /// fan-out and partial-sum fan-in its remote segments cost.
+    fn step<S: TrafficSink>(
+        &mut self,
+        from: Option<usize>,
+        h: Tensor,
+        sink: &mut S,
+        workers: usize,
+    ) -> Result<Tensor, AnalogError> {
+        let in_bits = N::wave_bits(&h);
+        if let Some(from) = from.filter(|&c| c != self.chip) {
+            sink.send(from, self.chip, in_bits)?;
+        }
+        let (out, driven) = self.net.eval(h, workers)?;
+        if driven && !self.remote.is_empty() {
+            let out_bits = out.len() as u64 * PARTIAL_BITS;
+            sink.shard(HOME, &self.remote, in_bits, out_bits)?;
+        }
+        Ok(out)
+    }
+}
+
+/// Cuts a compiled stage list into units. `place` gives stage `i` its
+/// chip and, for a tensor-sharded stage, its remote chips; such a stage
+/// is a unit of its own, while consecutive stages on one chip share a
+/// unit. `wrap` builds a unit's network from its stages.
+fn cut_units<S, N>(
+    stages: Vec<S>,
+    place: impl Fn(usize, &S) -> (usize, Option<Vec<usize>>),
+    wrap: impl Fn(Vec<S>) -> N,
+) -> Vec<Unit<N>> {
+    let mut units = Vec::new();
+    let mut span: Vec<S> = Vec::new();
+    let mut span_chip = HOME;
+    for (i, stage) in stages.into_iter().enumerate() {
+        let (chip, remote) = place(i, &stage);
+        if !span.is_empty() && (chip != span_chip || remote.is_some()) {
+            units.push(Unit {
+                chip: span_chip,
+                net: wrap(std::mem::take(&mut span)),
+                remote: Vec::new(),
+            });
+        }
+        match remote {
+            Some(remote) => units.push(Unit {
+                chip,
+                net: wrap(vec![stage]),
+                remote,
+            }),
+            None => {
+                span_chip = chip;
+                span.push(stage);
+            }
+        }
+    }
+    if !span.is_empty() {
+        units.push(Unit {
+            chip: span_chip,
+            net: wrap(span),
+            remote: Vec::new(),
+        });
+    }
+    units
+}
+
+/// Runs one wave through `units` in order — the sequential walk.
+fn walk<N: UnitNet>(
+    units: &mut [Unit<N>],
+    mut h: Tensor,
+    cluster: &mut ChipCluster,
 ) -> Result<Tensor, AnalogError> {
-    match unit {
-        AnnUnit::Whole { net, .. } => net.forward_with_workers(h, workers),
-        AnnUnit::Dense {
-            shards,
-            bias,
-            cols,
-            rf,
-            remote,
-            acc,
-        } => {
-            let n = h.shape()[0];
-            sink.shard(
-                HOME,
-                remote,
-                n as u64 * *rf as u64 * ANN_ACT_BITS,
-                n as u64 * *cols as u64 * PARTIAL_BITS,
-            )?;
-            acc.clear();
-            acc.resize(n * *cols, 0.0);
-            let data = h.data();
-            for shard in shards.iter_mut() {
-                let (rf, lo, hi) = (*rf, shard.lo, shard.hi);
-                let ys = shard
-                    .matrix
-                    .dot_batch_with(n, workers, |i| &data[i * rf + lo..i * rf + hi])?;
-                for (a_row, y) in acc.chunks_mut(*cols).zip(ys) {
-                    for (a, v) in a_row.iter_mut().zip(y) {
-                        *a += v;
-                    }
-                }
-            }
-            sink.add_waves(n as u64);
-            let mut out = Tensor::zeros(&[n, *cols]);
-            for (dst, y) in out.data_mut().chunks_mut(bias.len()).zip(acc.chunks(*cols)) {
-                for (d, (v, b)) in dst.iter_mut().zip(y.iter().zip(bias.iter())) {
-                    *d = v + b;
-                }
-            }
-            Ok(out)
-        }
-        AnnUnit::Conv {
-            shards,
-            bias,
-            geom,
-            out_channels,
-            cols,
-            rf,
-            remote,
-            acc,
-        } => {
-            let (n, hh, ww) = (h.shape()[0], h.shape()[2], h.shape()[3]);
-            let (oh, ow) = geom.out_hw(hh, ww)?;
-            // The parallel and serial im2col are bit-identical; the
-            // serial one is mandatory inside pipeline stages (nested
-            // pool dispatch is forbidden there — see `exec`).
-            let patches = if workers <= 1 {
-                nebula_tensor::im2col(h, *geom)?
-            } else {
-                nebula_tensor::par::im2col(h, *geom)?
-            };
-            let spatial = oh * ow;
-            let total_rows = n * spatial;
-            sink.shard(
-                HOME,
-                remote,
-                h.len() as u64 * ANN_ACT_BITS,
-                total_rows as u64 * *cols as u64 * PARTIAL_BITS,
-            )?;
-            acc.clear();
-            acc.resize(total_rows * *cols, 0.0);
-            let data = patches.data();
-            for shard in shards.iter_mut() {
-                let (rf, lo, hi) = (*rf, shard.lo, shard.hi);
-                let ys = shard
-                    .matrix
-                    .dot_batch_with(total_rows, workers, |ri| &data[ri * rf + lo..ri * rf + hi])?;
-                for (a_row, y) in acc.chunks_mut(*cols).zip(ys) {
-                    for (a, v) in a_row.iter_mut().zip(y) {
-                        *a += v;
-                    }
-                }
-            }
-            sink.add_waves(total_rows as u64);
-            let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
-            for img in 0..n {
-                for s in 0..spatial {
-                    let y = &acc[(img * spatial + s) * *cols..][..*cols];
-                    for (o, (&v, &b)) in y.iter().zip(bias.iter()).enumerate() {
-                        out.data_mut()[img * *out_channels * spatial + o * spatial + s] = v + b;
-                    }
-                }
-            }
-            Ok(out)
-        }
+    let workers = nebula_tensor::pool::size();
+    let mut prev = None;
+    for unit in units {
+        h = unit.step(prev.replace(unit.chip), h, cluster, workers)?;
     }
+    Ok(h)
 }
+
+// ---------------------------------------------------------------------
+// ANN executor
+// ---------------------------------------------------------------------
 
 /// An ANN compiled once, then distributed over a chip cluster. Built
 /// from an [`AnalogNetwork`] (faults, aging and kernel-path choices
@@ -520,10 +469,11 @@ fn exec_ann_unit<S: TrafficSink>(
 /// [`AnalogNetwork::forward`].
 #[derive(Debug, Clone)]
 pub struct ShardedAnalogNetwork {
-    units: Vec<AnnUnit>,
+    units: Vec<Unit<AnalogNetwork>>,
     cluster: ChipCluster,
     strategy: ShardStrategy,
-    extra_waves: u64,
+    /// Waves the donor network had run before it was distributed.
+    donor_waves: u64,
 }
 
 impl ShardedAnalogNetwork {
@@ -553,12 +503,7 @@ impl ShardedAnalogNetwork {
         let costs: Vec<u64> = net
             .stages
             .iter()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.supertile_count().max(1) as u64
-                }
-                _ => 0,
-            })
+            .map(|s| s.matrix().map_or(0, |m| m.supertile_count().max(1) as u64))
             .collect();
         Self::pipelined_with_costs(net, chips, &costs)
     }
@@ -629,111 +574,40 @@ impl ShardedAnalogNetwork {
         chips: usize,
         costs: &[u64],
     ) -> Result<Self, AnalogError> {
-        let cluster = default_cluster(chips)?;
-        let extra_waves = net.waves;
-        let assignment = assign_spans(costs, chips);
-        let mut units = Vec::new();
-        let mut span: Vec<AnalogStage> = Vec::new();
-        let mut span_chip = 0usize;
-        for (stage, &chip) in net.stages.into_iter().zip(assignment.iter()) {
-            if chip != span_chip && !span.is_empty() {
-                units.push(AnnUnit::Whole {
-                    chip: span_chip,
-                    net: AnalogNetwork {
-                        stages: std::mem::take(&mut span),
-                        waves: 0,
-                    },
-                });
-            }
-            span_chip = chip;
-            span.push(stage);
-        }
-        if !span.is_empty() {
-            units.push(AnnUnit::Whole {
-                chip: span_chip,
-                net: AnalogNetwork {
-                    stages: span,
-                    waves: 0,
-                },
-            });
-        }
-        Ok(Self {
-            units,
-            cluster,
-            strategy: ShardStrategy::LayerPipelined,
-            extra_waves,
+        let assignment = mapper::partition_balanced(costs, chips.max(1));
+        Self::distribute(net, chips, ShardStrategy::LayerPipelined, |i, _| {
+            (assignment[i], None)
         })
     }
 
-    /// Shards `net`'s multi-segment layers row-wise over `chips` chips;
-    /// everything else stays on the home chip.
+    /// Keeps `net`'s multi-segment layers whole on the home chip, each
+    /// as a unit of its own whose segments are placed round-robin
+    /// across `chips` chips for traffic pricing; everything else stays
+    /// on the home chip.
     ///
     /// # Errors
     ///
     /// Propagates cluster-construction failures.
     pub fn tensor_sharded(net: AnalogNetwork, chips: usize) -> Result<Self, AnalogError> {
-        let cluster = default_cluster(chips)?;
-        let chips = chips.max(1);
-        let extra_waves = net.waves;
-        let mut units = Vec::new();
-        let mut span: Vec<AnalogStage> = Vec::new();
-        let flush = |span: &mut Vec<AnalogStage>, units: &mut Vec<AnnUnit>| {
-            if !span.is_empty() {
-                units.push(AnnUnit::Whole {
-                    chip: HOME,
-                    net: AnalogNetwork {
-                        stages: std::mem::take(span),
-                        waves: 0,
-                    },
-                });
-            }
-        };
-        for stage in net.stages {
-            match stage {
-                AnalogStage::Dense { matrix, bias } if matrix.tiles.len() > 1 => {
-                    flush(&mut span, &mut units);
-                    let (cols, rf) = (matrix.cols, matrix.rf);
-                    let shards = shard_ann_matrix(matrix, chips);
-                    let remote = remote_chips(shards.iter().map(|s| s.chip), HOME);
-                    units.push(AnnUnit::Dense {
-                        shards,
-                        bias,
-                        cols,
-                        rf,
-                        remote,
-                        acc: Vec::new(),
-                    });
-                }
-                AnalogStage::Conv {
-                    matrix,
-                    bias,
-                    geom,
-                    out_channels,
-                } if matrix.tiles.len() > 1 => {
-                    flush(&mut span, &mut units);
-                    let (cols, rf) = (matrix.cols, matrix.rf);
-                    let shards = shard_ann_matrix(matrix, chips);
-                    let remote = remote_chips(shards.iter().map(|s| s.chip), HOME);
-                    units.push(AnnUnit::Conv {
-                        shards,
-                        bias,
-                        geom,
-                        out_channels,
-                        cols,
-                        rf,
-                        remote,
-                        acc: Vec::new(),
-                    });
-                }
-                other => span.push(other),
-            }
-        }
-        flush(&mut span, &mut units);
+        Self::distribute(net, chips, ShardStrategy::TensorSharded, |_, stage| {
+            shard_placement(stage.matrix().map_or(1, |m| m.tiles.len()), chips)
+        })
+    }
+
+    fn distribute(
+        net: AnalogNetwork,
+        chips: usize,
+        strategy: ShardStrategy,
+        place: impl Fn(usize, &AnalogStage) -> (usize, Option<Vec<usize>>),
+    ) -> Result<Self, AnalogError> {
         Ok(Self {
-            units,
-            cluster,
-            strategy: ShardStrategy::TensorSharded,
-            extra_waves,
+            cluster: default_cluster(chips)?,
+            strategy,
+            donor_waves: net.waves,
+            units: cut_units(net.stages, place, |stages| AnalogNetwork {
+                stages,
+                waves: 0,
+            }),
         })
     }
 
@@ -762,17 +636,10 @@ impl ShardedAnalogNetwork {
         self.cluster.stats()
     }
 
-    /// Selects the crossbar kernel path on every shard and span.
+    /// Selects the crossbar kernel path on every unit.
     pub fn set_kernel_path(&mut self, path: nebula_crossbar::KernelPath) {
         for unit in &mut self.units {
-            match unit {
-                AnnUnit::Whole { net, .. } => net.set_kernel_path(path),
-                AnnUnit::Dense { shards, .. } | AnnUnit::Conv { shards, .. } => {
-                    for s in shards {
-                        s.matrix.set_kernel_path(path);
-                    }
-                }
-            }
+            unit.net.set_kernel_path(path);
         }
     }
 
@@ -785,31 +652,7 @@ impl ShardedAnalogNetwork {
     /// Propagates circuit and tensor failures; inter-chip routing
     /// failures surface as [`AnalogError::Noc`].
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        let workers = nebula_tensor::pool::size();
-        let mut h = inputs.clone();
-        let mut units = std::mem::take(&mut self.units);
-        let result = (|| -> Result<Tensor, AnalogError> {
-            let mut sink = LiveSink {
-                cluster: &mut self.cluster,
-                extra_waves: &mut self.extra_waves,
-            };
-            let mut prev_chip: Option<usize> = None;
-            for unit in units.iter_mut() {
-                let here = unit.chip();
-                if let Some(prev) = prev_chip {
-                    if prev != here {
-                        // Activations cross the ring between pipeline
-                        // stages: one transfer per wave per boundary.
-                        sink.send(prev, here, h.len() as u64 * ANN_ACT_BITS)?;
-                    }
-                }
-                h = exec_ann_unit(unit, &h, &mut sink, workers)?;
-                prev_chip = Some(here);
-            }
-            Ok(h)
-        })();
-        self.units = units;
-        result
+        walk(&mut self.units, inputs.clone(), &mut self.cluster)
     }
 
     /// [`forward`](Self::forward), executed by the concurrent pipeline:
@@ -830,306 +673,71 @@ impl ShardedAnalogNetwork {
         cfg: &PipelineConfig,
     ) -> Result<Tensor, AnalogError> {
         let n = match inputs.shape().first() {
-            Some(&n) => n,
-            None => return self.forward(inputs),
+            Some(&n) if n > 0 && !self.units.is_empty() => n,
+            _ => return self.forward(inputs),
         };
-        if self.units.is_empty() || n == 0 {
-            return self.forward(inputs);
-        }
         let depth = cfg.micro_batch.max(1).min(n);
-        let items = n.div_ceil(depth);
-        let workers = effective_workers(cfg, self.units.len());
-        let sw = stage_workers(workers);
         let row_elems = inputs.len() / n;
         let in_shape = inputs.shape().to_vec();
         let data = inputs.data();
-        let mut units = std::mem::take(&mut self.units);
-        let chips_of: Vec<usize> = units.iter().map(|u| u.chip()).collect();
-        let mut journals: Vec<TrafficJournal> = (0..units.len())
-            .map(|_| TrafficJournal::new(true))
-            .collect();
-        let result = (|| -> Result<Tensor, AnalogError> {
-            let source: SourceFn<'_> = Box::new(move |idx| {
-                let lo = idx * depth;
-                let hi = ((idx + 1) * depth).min(n);
-                let mut shape = in_shape.clone();
-                shape[0] = hi - lo;
-                Ok(Tensor::from_vec(
-                    data[lo * row_elems..hi * row_elems].to_vec(),
-                    &shape,
-                )?)
-            });
-            let stages: Vec<StageFn<'_>> = units
-                .iter_mut()
-                .zip(journals.iter_mut())
-                .enumerate()
-                .map(|(u, (unit, journal))| {
-                    let prev = u.checked_sub(1).map(|p| chips_of[p]);
-                    let here = chips_of[u];
-                    Box::new(move |_idx: usize, h: Tensor| {
-                        if let Some(prev) = prev {
-                            if prev != here {
-                                journal.send(prev, here, h.len() as u64 * ANN_ACT_BITS)?;
-                            }
-                        }
-                        exec_ann_unit(unit, &h, journal, sw)
-                    }) as StageFn<'_>
-                })
-                .collect();
-            let outs = run_pipeline(items, source, stages, workers, cfg.queue_capacity)?;
-            // Concatenate micro-batch outputs in index order.
-            let mut out_shape = outs[0].shape().to_vec();
-            out_shape[0] = n;
-            let per_row: usize = out_shape.iter().skip(1).product();
-            let mut out = Vec::with_capacity(n * per_row);
-            for o in &outs {
-                out.extend_from_slice(o.data());
-            }
-            Ok(Tensor::from_vec(out, &out_shape)?)
-        })();
-        self.units = units;
-        let out = result?;
-        // The join: replay every stage's journal against the live
-        // cluster in stage-major, item-ascending order. This is where
-        // dead-link routing failures surface, exactly as the
-        // sequential walk would raise them.
-        let mut sink = LiveSink {
-            cluster: &mut self.cluster,
-            extra_waves: &mut self.extra_waves,
-        };
-        for journal in &journals {
-            journal.replay(&mut sink)?;
+        let source: SourceFn<'_> = Box::new(move |idx| {
+            let lo = idx * depth;
+            let hi = ((idx + 1) * depth).min(n);
+            let mut shape = in_shape.clone();
+            shape[0] = hi - lo;
+            Ok(Tensor::from_vec(
+                data[lo * row_elems..hi * row_elems].to_vec(),
+                &shape,
+            )?)
+        });
+        let outs = run_units(
+            &mut self.units,
+            &mut self.cluster,
+            n.div_ceil(depth),
+            source,
+            cfg,
+            true,
+        )?;
+        // Concatenate micro-batch outputs in index order.
+        let mut out_shape = outs[0].shape().to_vec();
+        out_shape[0] = n;
+        let mut out = Vec::with_capacity(n * out_shape[1..].iter().product::<usize>());
+        for o in &outs {
+            out.extend_from_slice(o.data());
         }
-        Ok(out)
+        Ok(Tensor::from_vec(out, &out_shape)?)
     }
 
-    /// Total analog read energy across every chip, summed in stage then
-    /// segment order — the same addition order as the single-chip
-    /// engine, hence bitwise equal on the scalar path.
+    /// Total analog read energy across every chip: one running sum over
+    /// every stage of every unit, in stage order — the same additions
+    /// as the single-chip engine, hence bitwise equal on the scalar
+    /// path.
     pub fn read_energy(&self) -> Joules {
         self.units
             .iter()
-            .map(|u| match u {
-                AnnUnit::Whole { net, .. } => net.read_energy(),
-                AnnUnit::Dense { shards, .. } | AnnUnit::Conv { shards, .. } => {
-                    shards.iter().map(|s| s.matrix.read_energy()).sum()
-                }
-            })
+            .flat_map(|u| u.net.stage_energies(ProgrammedMatrix::read_energy))
             .sum()
     }
 
-    /// Total programming energy (spent before sharding; tiles moved).
+    /// Total programming energy (spent before sharding; tiles moved),
+    /// summed like [`read_energy`](Self::read_energy).
     pub fn program_energy(&self) -> Joules {
         self.units
             .iter()
-            .map(|u| match u {
-                AnnUnit::Whole { net, .. } => net.program_energy(),
-                AnnUnit::Dense { shards, .. } | AnnUnit::Conv { shards, .. } => {
-                    shards.iter().map(|s| s.matrix.program_energy()).sum()
-                }
-            })
+            .flat_map(|u| u.net.stage_energies(ProgrammedMatrix::program_energy))
             .sum()
     }
 
     /// Crossbar evaluation waves executed across the cluster — equal to
     /// the single-chip count (sharding a wave does not multiply it).
     pub fn waves(&self) -> u64 {
-        self.extra_waves
-            + self
-                .units
-                .iter()
-                .map(|u| match u {
-                    AnnUnit::Whole { net, .. } => net.waves(),
-                    _ => 0,
-                })
-                .sum::<u64>()
+        self.donor_waves + self.units.iter().map(|u| u.net.waves()).sum::<u64>()
     }
 }
 
 // ---------------------------------------------------------------------
 // SNN executor
 // ---------------------------------------------------------------------
-
-/// One row-window shard of a spiking synaptic layer.
-#[derive(Debug, Clone)]
-struct SnnShard {
-    chip: usize,
-    lo: usize,
-    hi: usize,
-    matrix: SnnMatrix,
-}
-
-fn shard_snn_matrix(matrix: SnnMatrix, chips: usize) -> Vec<SnnShard> {
-    let mut lo = 0usize;
-    matrix
-        .split_segments()
-        .into_iter()
-        .enumerate()
-        .map(|(s, m)| {
-            let hi = lo + m.rf;
-            let shard = SnnShard {
-                chip: s % chips,
-                lo,
-                hi,
-                matrix: m,
-            };
-            lo = hi;
-            shard
-        })
-        .collect()
-}
-
-#[derive(Debug, Clone)]
-enum SnnUnit {
-    Whole {
-        chip: usize,
-        net: AnalogSpikingNetwork,
-    },
-    Dense {
-        shards: Vec<SnnShard>,
-        bias: Vec<f32>,
-        cols: usize,
-        rf: usize,
-        scratch: EventScratch,
-        window: SpikeBatch,
-        /// Shard chips other than home, fixed at construction.
-        remote: Vec<usize>,
-        /// Reusable partial-sum accumulator (no steady-state allocs).
-        acc: Vec<f32>,
-    },
-    Conv {
-        shards: Vec<SnnShard>,
-        bias: Vec<f32>,
-        geom: ConvGeometry,
-        out_channels: usize,
-        cols: usize,
-        scratch: EventScratch,
-        window: SpikeBatch,
-        /// Shard chips other than home, fixed at construction.
-        remote: Vec<usize>,
-        /// Reusable partial-sum accumulator (no steady-state allocs).
-        acc: Vec<f32>,
-    },
-}
-
-impl SnnUnit {
-    fn chip(&self) -> usize {
-        match self {
-            SnnUnit::Whole { chip, .. } => *chip,
-            _ => HOME,
-        }
-    }
-}
-
-/// Advances one SNN unit by one encoded timestep wave. Mirrors
-/// [`exec_ann_unit`]: pure evaluation against unit-owned state (tiles,
-/// IF membranes, gather scratch), shared accounting through `sink`.
-/// Unlike the ANN path, shard traffic is journaled *per timestep* and
-/// silence-gated — exactly the sequential per-timestep skips.
-fn exec_snn_unit<S: TrafficSink>(
-    unit: &mut SnnUnit,
-    h: Tensor,
-    sink: &mut S,
-    workers: usize,
-) -> Result<Tensor, AnalogError> {
-    match unit {
-        SnnUnit::Whole { net, .. } => {
-            let len = net.stages.len();
-            net.step_range_with(h, 0..len, false, workers)
-        }
-        SnnUnit::Dense {
-            shards,
-            bias,
-            cols,
-            rf,
-            scratch,
-            window,
-            remote,
-            acc,
-        } => {
-            let n = h.shape()[0];
-            scratch.batch.gather_dense(h.data(), *rf);
-            acc.clear();
-            acc.resize(n * *cols, 0.0);
-            if !scratch.batch.is_silent() {
-                // A silent wave ships nothing and touches no
-                // crossbar — exactly the single-chip skip.
-                sink.shard(
-                    HOME,
-                    remote,
-                    (n * *rf) as u64 * SNN_ACT_BITS,
-                    (n * *cols) as u64 * PARTIAL_BITS,
-                )?;
-                for shard in shards.iter_mut() {
-                    scratch.batch.slice_window(shard.lo, shard.hi, window);
-                    if window.is_silent() {
-                        continue;
-                    }
-                    let ys = shard.matrix.dot_spikes_batch_active_with(window, workers)?;
-                    for (a, v) in acc.iter_mut().zip(ys) {
-                        *a += v;
-                    }
-                }
-            }
-            sink.add_waves(n as u64);
-            let mut out = Tensor::zeros(&[n, *cols]);
-            for (dst, y) in out.data_mut().chunks_mut(bias.len()).zip(acc.chunks(*cols)) {
-                for (d, (v, b)) in dst.iter_mut().zip(y.iter().zip(bias.iter())) {
-                    *d = v + b;
-                }
-            }
-            Ok(out)
-        }
-        SnnUnit::Conv {
-            shards,
-            bias,
-            geom,
-            out_channels,
-            cols,
-            scratch,
-            window,
-            remote,
-            acc,
-        } => {
-            let (n, cc, hh, ww) = (h.shape()[0], h.shape()[1], h.shape()[2], h.shape()[3]);
-            let (oh, ow) = geom.out_hw(hh, ww)?;
-            let spatial = oh * ow;
-            let total_rows = n * spatial;
-            gather_conv_patches(scratch, h.data(), [n, cc, hh, ww], [oh, ow], *geom);
-            acc.clear();
-            acc.resize(total_rows * *cols, 0.0);
-            if !scratch.batch.is_silent() {
-                sink.shard(
-                    HOME,
-                    remote,
-                    (h.len() as u64 * SNN_ACT_BITS).max(1),
-                    (total_rows * *cols) as u64 * PARTIAL_BITS,
-                )?;
-                for shard in shards.iter_mut() {
-                    scratch.batch.slice_window(shard.lo, shard.hi, window);
-                    if window.is_silent() {
-                        continue;
-                    }
-                    let ys = shard.matrix.dot_spikes_batch_active_with(window, workers)?;
-                    for (a, v) in acc.iter_mut().zip(ys) {
-                        *a += v;
-                    }
-                }
-            }
-            sink.add_waves(total_rows as u64);
-            let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
-            for img in 0..n {
-                for s in 0..spatial {
-                    let y = &acc[(img * spatial + s) * *cols..][..*cols];
-                    for (o, (&v, &b)) in y.iter().zip(bias.iter()).enumerate() {
-                        out.data_mut()[img * *out_channels * spatial + o * spatial + s] = v + b;
-                    }
-                }
-            }
-            Ok(out)
-        }
-    }
-}
 
 /// A spiking network distributed over a chip cluster. Built from a
 /// compiled [`AnalogSpikingNetwork`]; outputs, RNG consumption, wave
@@ -1139,11 +747,12 @@ fn exec_snn_unit<S: TrafficSink>(
 /// changes.
 #[derive(Debug, Clone)]
 pub struct ShardedSpikingNetwork {
-    units: Vec<SnnUnit>,
+    units: Vec<Unit<AnalogSpikingNetwork>>,
     cluster: ChipCluster,
     strategy: ShardStrategy,
     encoding: InputEncoding,
-    extra_waves: u64,
+    /// Waves the donor network had run before it was distributed.
+    donor_waves: u64,
 }
 
 impl ShardedSpikingNetwork {
@@ -1174,12 +783,10 @@ impl ShardedSpikingNetwork {
         let costs: Vec<u64> = net
             .stages
             .iter()
-            .map(|s| match s {
-                SpikingAnalogStage::Dense { matrix, .. }
-                | SpikingAnalogStage::Conv { matrix, .. } => {
-                    matrix.tiles.iter().map(Vec::len).sum::<usize>().max(1) as u64
-                }
-                _ => 0,
+            .map(|s| {
+                s.matrix().map_or(0, |m| {
+                    m.tiles.iter().map(Vec::len).sum::<usize>().max(1) as u64
+                })
             })
             .collect();
         Self::pipelined_with_costs(net, chips, &costs)
@@ -1249,122 +856,43 @@ impl ShardedSpikingNetwork {
         chips: usize,
         costs: &[u64],
     ) -> Result<Self, AnalogError> {
-        let cluster = default_cluster(chips)?;
-        let encoding = net.encoding;
-        let extra_waves = net.timestep_waves;
-        let assignment = assign_spans(costs, chips);
-        let mut units = Vec::new();
-        let mut span: Vec<SpikingAnalogStage> = Vec::new();
-        let mut span_chip = 0usize;
-        for (stage, &chip) in net.stages.into_iter().zip(assignment.iter()) {
-            if chip != span_chip && !span.is_empty() {
-                units.push(SnnUnit::Whole {
-                    chip: span_chip,
-                    net: AnalogSpikingNetwork {
-                        stages: std::mem::take(&mut span),
-                        encoding,
-                        timestep_waves: 0,
-                    },
-                });
-            }
-            span_chip = chip;
-            span.push(stage);
-        }
-        if !span.is_empty() {
-            units.push(SnnUnit::Whole {
-                chip: span_chip,
-                net: AnalogSpikingNetwork {
-                    stages: span,
-                    encoding,
-                    timestep_waves: 0,
-                },
-            });
-        }
-        Ok(Self {
-            units,
-            cluster,
-            strategy: ShardStrategy::LayerPipelined,
-            encoding,
-            extra_waves,
+        let assignment = mapper::partition_balanced(costs, chips.max(1));
+        Self::distribute(net, chips, ShardStrategy::LayerPipelined, |i, _| {
+            (assignment[i], None)
         })
     }
 
-    /// Shards `net`'s multi-segment synaptic layers row-wise across
-    /// `chips` chips; IF populations and pooling stay on the home chip.
+    /// Keeps `net`'s multi-segment synaptic layers whole on the home
+    /// chip, each as a unit of its own whose segments are placed
+    /// round-robin across `chips` chips for traffic pricing; IF
+    /// populations and pooling stay on the home chip.
     ///
     /// # Errors
     ///
     /// Propagates cluster-construction failures.
     pub fn tensor_sharded(net: AnalogSpikingNetwork, chips: usize) -> Result<Self, AnalogError> {
-        let cluster = default_cluster(chips)?;
-        let chips = chips.max(1);
+        Self::distribute(net, chips, ShardStrategy::TensorSharded, |_, stage| {
+            shard_placement(stage.matrix().map_or(1, |m| m.tiles.len()), chips)
+        })
+    }
+
+    fn distribute(
+        net: AnalogSpikingNetwork,
+        chips: usize,
+        strategy: ShardStrategy,
+        place: impl Fn(usize, &SpikingAnalogStage) -> (usize, Option<Vec<usize>>),
+    ) -> Result<Self, AnalogError> {
         let encoding = net.encoding;
-        let extra_waves = net.timestep_waves;
-        let mut units = Vec::new();
-        let mut span: Vec<SpikingAnalogStage> = Vec::new();
-        let flush = |span: &mut Vec<SpikingAnalogStage>, units: &mut Vec<SnnUnit>| {
-            if !span.is_empty() {
-                units.push(SnnUnit::Whole {
-                    chip: HOME,
-                    net: AnalogSpikingNetwork {
-                        stages: std::mem::take(span),
-                        encoding,
-                        timestep_waves: 0,
-                    },
-                });
-            }
-        };
-        for stage in net.stages {
-            match stage {
-                SpikingAnalogStage::Dense { matrix, bias, .. } if matrix.tiles.len() > 1 => {
-                    flush(&mut span, &mut units);
-                    let (cols, rf) = (matrix.cols, matrix.rf);
-                    let shards = shard_snn_matrix(matrix, chips);
-                    let remote = remote_chips(shards.iter().map(|s| s.chip), HOME);
-                    units.push(SnnUnit::Dense {
-                        shards,
-                        bias,
-                        cols,
-                        rf,
-                        scratch: EventScratch::default(),
-                        window: SpikeBatch::default(),
-                        remote,
-                        acc: Vec::new(),
-                    });
-                }
-                SpikingAnalogStage::Conv {
-                    matrix,
-                    bias,
-                    geom,
-                    out_channels,
-                    ..
-                } if matrix.tiles.len() > 1 => {
-                    flush(&mut span, &mut units);
-                    let cols = matrix.cols;
-                    let shards = shard_snn_matrix(matrix, chips);
-                    let remote = remote_chips(shards.iter().map(|s| s.chip), HOME);
-                    units.push(SnnUnit::Conv {
-                        shards,
-                        bias,
-                        geom,
-                        out_channels,
-                        cols,
-                        scratch: EventScratch::default(),
-                        window: SpikeBatch::default(),
-                        remote,
-                        acc: Vec::new(),
-                    });
-                }
-                other => span.push(other),
-            }
-        }
-        flush(&mut span, &mut units);
         Ok(Self {
-            units,
-            cluster,
-            strategy: ShardStrategy::TensorSharded,
+            cluster: default_cluster(chips)?,
+            strategy,
             encoding,
-            extra_waves,
+            donor_waves: net.timestep_waves,
+            units: cut_units(net.stages, place, |stages| AnalogSpikingNetwork {
+                stages,
+                encoding,
+                timestep_waves: 0,
+            }),
         })
     }
 
@@ -1399,17 +927,10 @@ impl ShardedSpikingNetwork {
         self.encoding = encoding;
     }
 
-    /// Selects the crossbar kernel path on every shard and span.
+    /// Selects the crossbar kernel path on every unit.
     pub fn set_kernel_path(&mut self, path: nebula_crossbar::KernelPath) {
         for unit in &mut self.units {
-            match unit {
-                SnnUnit::Whole { net, .. } => net.set_kernel_path(path),
-                SnnUnit::Dense { shards, .. } | SnnUnit::Conv { shards, .. } => {
-                    for s in shards {
-                        s.matrix.set_kernel_path(path);
-                    }
-                }
-            }
+            unit.net.set_kernel_path(path);
         }
     }
 
@@ -1421,20 +942,9 @@ impl ShardedSpikingNetwork {
     /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
     /// flow through the units.
     pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        let mut shape = input_shape.to_vec();
-        for unit in &self.units {
-            shape = match unit {
-                SnnUnit::Whole { net, .. } => net.output_shape(&shape)?,
-                SnnUnit::Dense { cols, .. } => vec![shape[0], *cols],
-                SnnUnit::Conv {
-                    geom, out_channels, ..
-                } => {
-                    let (oh, ow) = geom.out_hw(shape[2], shape[3])?;
-                    vec![shape[0], *out_channels, oh, ow]
-                }
-            };
-        }
-        Ok(shape)
+        self.units
+            .iter()
+            .try_fold(input_shape.to_vec(), |shape, u| u.net.output_shape(&shape))
     }
 
     /// Runs `timesteps` of spiking inference across the cluster —
@@ -1473,27 +983,8 @@ impl ShardedSpikingNetwork {
         timesteps: usize,
         groups: &[(usize, u64)],
     ) -> Result<Tensor, AnalogError> {
-        let n = *inputs
-            .shape()
-            .first()
-            .ok_or_else(|| AnalogError::BadGeometry {
-                reason: "rank-0 input".into(),
-            })?;
-        let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
-        if total != n {
-            return Err(AnalogError::BadGeometry {
-                reason: format!("seeded groups cover {total} rows, batch has {n}"),
-            });
-        }
-        let row_elems = inputs.len().checked_div(n).unwrap_or(0);
-        let encoding = self.encoding;
-        let mut rngs: Vec<rand::rngs::StdRng> = groups
-            .iter()
-            .map(|&(_, seed)| rand::SeedableRng::seed_from_u64(seed))
-            .collect();
-        self.run_with_encoder(inputs, timesteps, &mut |x: &Tensor| {
-            encode_groups(encoding, x, row_elems, groups, &mut rngs)
-        })
+        let mut encode = seeded_group_encoder(self.encoding, inputs, groups)?;
+        self.run_with_encoder(inputs, timesteps, &mut encode)
     }
 
     fn run_with_encoder(
@@ -1503,13 +994,11 @@ impl ShardedSpikingNetwork {
         encode: &mut dyn FnMut(&Tensor) -> Tensor,
     ) -> Result<Tensor, AnalogError> {
         for unit in &mut self.units {
-            if let SnnUnit::Whole { net, .. } = unit {
-                net.reset_state();
-            }
+            unit.net.reset_state();
         }
         let mut acc: Option<Tensor> = None;
         for _ in 0..timesteps {
-            let h = self.step_timestep(encode(inputs))?;
+            let h = walk(&mut self.units, encode(inputs), &mut self.cluster)?;
             match &mut acc {
                 Some(a) => a.add_assign(&h)?,
                 none => *none = Some(h),
@@ -1519,34 +1008,6 @@ impl ShardedSpikingNetwork {
             Some(a) => Ok(a),
             None => Ok(Tensor::zeros(&self.output_shape(inputs.shape())?)),
         }
-    }
-
-    /// Advances one encoded spike wave through every unit in order.
-    fn step_timestep(&mut self, mut h: Tensor) -> Result<Tensor, AnalogError> {
-        let workers = nebula_tensor::pool::size();
-        let mut units = std::mem::take(&mut self.units);
-        let result = (|| -> Result<Tensor, AnalogError> {
-            let mut sink = LiveSink {
-                cluster: &mut self.cluster,
-                extra_waves: &mut self.extra_waves,
-            };
-            let mut prev_chip: Option<usize> = None;
-            for unit in units.iter_mut() {
-                let here = unit.chip();
-                if let Some(prev) = prev_chip {
-                    if prev != here {
-                        // Spike bitmaps cross the ring between pipeline
-                        // stages once per timestep.
-                        sink.send(prev, here, (h.len() as u64 * SNN_ACT_BITS).max(1))?;
-                    }
-                }
-                h = exec_snn_unit(unit, h, &mut sink, workers)?;
-                prev_chip = Some(here);
-            }
-            Ok(h)
-        })();
-        self.units = units;
-        result
     }
 
     /// [`run`](Self::run), executed by the concurrent pipeline: each
@@ -1590,27 +1051,8 @@ impl ShardedSpikingNetwork {
         groups: &[(usize, u64)],
         cfg: &PipelineConfig,
     ) -> Result<Tensor, AnalogError> {
-        let n = *inputs
-            .shape()
-            .first()
-            .ok_or_else(|| AnalogError::BadGeometry {
-                reason: "rank-0 input".into(),
-            })?;
-        let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
-        if total != n {
-            return Err(AnalogError::BadGeometry {
-                reason: format!("seeded groups cover {total} rows, batch has {n}"),
-            });
-        }
-        let row_elems = inputs.len().checked_div(n).unwrap_or(0);
-        let encoding = self.encoding;
-        let mut rngs: Vec<rand::rngs::StdRng> = groups
-            .iter()
-            .map(|&(_, seed)| rand::SeedableRng::seed_from_u64(seed))
-            .collect();
-        self.run_with_encoder_pipelined(inputs, timesteps, cfg, &mut |x: &Tensor| {
-            encode_groups(encoding, x, row_elems, groups, &mut rngs)
-        })
+        let mut encode = seeded_group_encoder(self.encoding, inputs, groups)?;
+        self.run_with_encoder_pipelined(inputs, timesteps, cfg, &mut encode)
     }
 
     fn run_with_encoder_pipelined(
@@ -1624,90 +1066,44 @@ impl ShardedSpikingNetwork {
             return self.run_with_encoder(inputs, timesteps, encode);
         }
         for unit in &mut self.units {
-            if let SnnUnit::Whole { net, .. } = unit {
-                net.reset_state();
-            }
+            unit.net.reset_state();
         }
-        let workers = effective_workers(cfg, self.units.len());
-        let sw = stage_workers(workers);
-        let mut units = std::mem::take(&mut self.units);
-        let chips_of: Vec<usize> = units.iter().map(|u| u.chip()).collect();
-        // One non-coalescing journal per stage: SNN traffic replays one
-        // op per timestep (flit rounding and silence skips are
-        // per-timestep in the sequential walk).
-        let mut journals: Vec<TrafficJournal> = (0..units.len())
-            .map(|_| TrafficJournal::new(false))
-            .collect();
-        let result = (|| -> Result<Tensor, AnalogError> {
-            let source: SourceFn<'_> = Box::new(move |_t| Ok(encode(inputs)));
-            let stages: Vec<StageFn<'_>> = units
-                .iter_mut()
-                .zip(journals.iter_mut())
-                .enumerate()
-                .map(|(u, (unit, journal))| {
-                    let prev = u.checked_sub(1).map(|p| chips_of[p]);
-                    let here = chips_of[u];
-                    Box::new(move |_t: usize, h: Tensor| {
-                        if let Some(prev) = prev {
-                            if prev != here {
-                                journal.send(prev, here, (h.len() as u64 * SNN_ACT_BITS).max(1))?;
-                            }
-                        }
-                        exec_snn_unit(unit, h, journal, sw)
-                    }) as StageFn<'_>
-                })
-                .collect();
-            let outs = run_pipeline(timesteps, source, stages, workers, cfg.queue_capacity)?;
-            // Fold potentials in ascending timestep order — the same
-            // accumulation the sequential loop performs.
-            let mut acc: Option<Tensor> = None;
-            for h in outs {
-                match &mut acc {
-                    Some(a) => a.add_assign(&h)?,
-                    none => *none = Some(h),
-                }
-            }
-            Ok(acc.expect("timesteps >= 1"))
-        })();
-        self.units = units;
-        let out = result?;
-        let mut sink = LiveSink {
-            cluster: &mut self.cluster,
-            extra_waves: &mut self.extra_waves,
-        };
-        for journal in &journals {
-            journal.replay(&mut sink)?;
+        let source: SourceFn<'_> = Box::new(move |_t| Ok(encode(inputs)));
+        // Non-coalescing journals: SNN traffic replays one op per
+        // timestep (flit rounding and silence skips are per-timestep in
+        // the sequential walk).
+        let outs = run_units(
+            &mut self.units,
+            &mut self.cluster,
+            timesteps,
+            source,
+            cfg,
+            false,
+        )?;
+        // Fold potentials in ascending timestep order — the same
+        // accumulation the sequential loop performs.
+        let mut outs = outs.into_iter();
+        let mut acc = outs.next().expect("timesteps >= 1");
+        for h in outs {
+            acc.add_assign(&h)?;
         }
-        Ok(out)
+        Ok(acc)
     }
 
-    /// Total analog read energy across every chip, summed in stage then
-    /// segment order — bitwise equal to the single-chip counter on the
-    /// scalar path.
+    /// Total analog read energy across every chip: one running sum over
+    /// every stage of every unit, in stage order — bitwise equal to the
+    /// single-chip counter on the scalar path.
     pub fn read_energy(&self) -> Joules {
         self.units
             .iter()
-            .map(|u| match u {
-                SnnUnit::Whole { net, .. } => net.read_energy(),
-                SnnUnit::Dense { shards, .. } | SnnUnit::Conv { shards, .. } => {
-                    shards.iter().map(|s| s.matrix.read_energy()).sum()
-                }
-            })
+            .flat_map(|u| u.net.stage_read_energies())
             .sum()
     }
 
     /// Crossbar waves executed across the cluster — equal to the
     /// single-chip count.
     pub fn waves(&self) -> u64 {
-        self.extra_waves
-            + self
-                .units
-                .iter()
-                .map(|u| match u {
-                    SnnUnit::Whole { net, .. } => net.waves(),
-                    _ => 0,
-                })
-                .sum::<u64>()
+        self.donor_waves + self.units.iter().map(|u| u.net.waves()).sum::<u64>()
     }
 }
 

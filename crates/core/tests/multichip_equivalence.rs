@@ -13,6 +13,12 @@
 //! outputs are **bitwise identical** to the single-chip run, wave
 //! counts match exactly, and read energy is bitwise identical on the
 //! scalar path and within 1e-9 relative on the vectorized paths.
+//!
+//! The dense properties also run a deeper net (four synaptic stages)
+//! layer-pipelined over two chips on the scalar path: each chip then
+//! holds several crossbar stages, so a total built from per-chip
+//! energy subtotals would re-associate the single-chip sum and miss a
+//! bit.
 
 use nebula_core::analog::{compile_ann, AnalogNetwork};
 use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
@@ -65,6 +71,43 @@ fn wide_snn(extra: usize, hidden: usize, out: usize, seed: u64) -> AnalogSpiking
             SnnStage::IntegrateFire(IfPopulation::new(0.7, ResetMode::Subtract)),
             SnnStage::Synaptic(Layer::dense(hidden, out, &mut r)),
             SnnStage::IntegrateFire(IfPopulation::new(0.7, ResetMode::Zero)),
+        ],
+        InputEncoding::Poisson,
+    );
+    compile_snn_default(&snn).unwrap()
+}
+
+/// A dense ANN with four synaptic stages (the first multi-segment):
+/// pipelined over two chips, some chip runs more than one of them.
+fn deep_ann(extra: usize, hidden: usize, out: usize, seed: u64) -> AnalogNetwork {
+    let mut r = ChaCha8Rng::seed_from_u64(seed);
+    let net = Network::new(vec![
+        Layer::dense(MAX_RF_IN_CORE + extra, hidden, &mut r),
+        Layer::relu(),
+        Layer::dense(hidden, hidden, &mut r),
+        Layer::relu(),
+        Layer::dense(hidden, hidden, &mut r),
+        Layer::relu(),
+        Layer::dense(hidden, out, &mut r),
+    ]);
+    compile_ann(&net).unwrap()
+}
+
+/// The spiking twin of [`deep_ann`]: four synaptic stages, each
+/// followed by an IF population.
+fn deep_snn(extra: usize, hidden: usize, out: usize, seed: u64) -> AnalogSpikingNetwork {
+    let mut r = ChaCha8Rng::seed_from_u64(seed);
+    let if_pop = || SnnStage::IntegrateFire(IfPopulation::new(0.4, ResetMode::Subtract));
+    let snn = SpikingNetwork::new(
+        vec![
+            SnnStage::Synaptic(Layer::dense(MAX_RF_IN_CORE + extra, hidden, &mut r)),
+            if_pop(),
+            SnnStage::Synaptic(Layer::dense(hidden, hidden, &mut r)),
+            if_pop(),
+            SnnStage::Synaptic(Layer::dense(hidden, hidden, &mut r)),
+            if_pop(),
+            SnnStage::Synaptic(Layer::dense(hidden, out, &mut r)),
+            if_pop(),
         ],
         InputEncoding::Poisson,
     );
@@ -188,7 +231,8 @@ fn tiled_input(pattern: &[(f32, f64)], density_step: usize, len: usize) -> Vec<f
 
 proptest! {
     /// Wide dense ANNs: both strategies, 1/2/4 chips, every kernel
-    /// path, activity swept from fully silent to fully dense.
+    /// path, activity swept from fully silent to fully dense; plus the
+    /// deep net pipelined over two chips on the scalar path.
     #[test]
     fn sharded_ann_matches_single_chip_bitwise(
         extra in 1usize..40,
@@ -212,10 +256,13 @@ proptest! {
                 }
             }
         }
+        let deep = deep_ann(extra, hidden, out, net_seed);
+        assert_ann_equivalent(&deep, ShardStrategy::LayerPipelined, 2, KernelPath::Scalar, &x);
     }
 
     /// Wide dense SNNs: both strategies, 1/2/4 chips, every kernel
-    /// path, both encodings — RNG consumption must survive sharding.
+    /// path, both encodings — RNG consumption must survive sharding;
+    /// plus the deep net pipelined over two chips on the scalar path.
     #[test]
     fn sharded_snn_matches_single_chip_bitwise(
         extra in 1usize..40,
@@ -230,8 +277,10 @@ proptest! {
         run_seed in 0u64..1_000,
     ) {
         let mut master = wide_snn(extra, hidden, out, net_seed);
+        let mut deep = deep_snn(extra, hidden, out, net_seed);
         if constant == 1 {
             master.set_encoding(InputEncoding::Constant);
+            deep.set_encoding(InputEncoding::Constant);
         }
         let input = MAX_RF_IN_CORE + extra;
         let x = Tensor::from_vec(
@@ -245,6 +294,8 @@ proptest! {
                 }
             }
         }
+        let (pipelined, scalar) = (ShardStrategy::LayerPipelined, KernelPath::Scalar);
+        assert_snn_equivalent(&deep, pipelined, 2, scalar, &x, timesteps, run_seed);
     }
 
     /// Wide conv SNNs: the sharded patch-gather (im2col CSR) path. The
