@@ -9,22 +9,21 @@
 //! the seeded-determinism suite.
 //!
 //! Each experiment is additionally re-run with
-//! `NEBULA_KERNEL_PATH=quantized` pinning every crossbar to the
-//! bit-packed 4-bit kernel tier. The quantized path's differential
-//! outputs are bitwise identical to the default and its read energy
-//! uses the same per-row-sum formulation as the default vectorized
-//! kernel, so *all* recorded columns — classifications and energy alike
-//! — must stay byte-for-byte; no looser tolerance is needed.
+//! `NEBULA_KERNEL_PATH=scalar` pinning every crossbar to the per-cell
+//! reference loop. Its differential outputs are bitwise identical to
+//! the default [`Auto`](nebula_crossbar::KernelPath::Auto) path, so
+//! *all* recorded columns — classifications and energy alike — must
+//! stay byte-for-byte; no looser tolerance is needed.
 //!
 //! The 14 table binaries evaluate the analytical energy model and never
-//! construct a crossbar, so their `quantized` reruns only pin that the
+//! construct a crossbar, so their `scalar` reruns only pin that the
 //! env override doesn't perturb anything process-wide. The recorded
 //! experiment that actually runs inference *through* the crossbar
 //! models is `analog_validation` (RNG-dependent, but byte-stable under
 //! the vendored rand — it is regenerated whenever the random stream
-//! shifts, see CHANGES.md PR 1); the [`analog_kernel_paths`] module
-//! re-runs it under every kernel path as the end-to-end golden check
-//! that genuinely exercises the scalar, vectorized and quantized tiers.
+//! shifts); the [`analog_kernel_paths`] module re-runs it under both
+//! kernel paths as the end-to-end golden check that genuinely exercises
+//! the scalar loop and Auto's f64 lane and packed layouts.
 
 use std::process::Command;
 
@@ -66,14 +65,14 @@ macro_rules! golden {
             );
         }
     )*
-        mod quantized {
+        mod scalar {
             $(
                 #[test]
                 fn $name() {
                     super::assert_matches_golden(
                         stringify!($name),
                         env!(concat!("CARGO_BIN_EXE_", stringify!($name))),
-                        Some("quantized"),
+                        Some("scalar"),
                     );
                 }
             )*
@@ -101,11 +100,10 @@ golden!(
 /// Golden reruns that drive real crossbar inference (MLP + LeNet
 /// accuracy through `compile_ann`, including the 10% device-mismatch
 /// leg) under each pinned kernel path. Outputs must stay byte-for-byte
-/// on every path: differential dots are bitwise identical across tiers
-/// and the printed energies come from the per-row-sum chain shared by
-/// the vectorized and quantized paths. (`sec4d_noise` also exercises
-/// the crossbars but costs minutes per debug run, so it is left to the
-/// seeded-determinism and equivalence suites.)
+/// on both paths: differential dots are bitwise identical, and the
+/// printed energies agree at the recorded precision. (`sec4d_noise`
+/// also exercises the crossbars but costs minutes per debug run, so it
+/// is left to the seeded-determinism and equivalence suites.)
 mod analog_kernel_paths {
     const EXE: &str = env!("CARGO_BIN_EXE_analog_validation");
 
@@ -115,12 +113,7 @@ mod analog_kernel_paths {
     }
 
     #[test]
-    fn analog_validation_vectorized() {
-        super::assert_matches_golden("analog_validation", EXE, Some("vectorized"));
-    }
-
-    #[test]
-    fn analog_validation_quantized() {
-        super::assert_matches_golden("analog_validation", EXE, Some("quantized"));
+    fn analog_validation_auto() {
+        super::assert_matches_golden("analog_validation", EXE, Some("auto"));
     }
 }

@@ -195,9 +195,9 @@ impl ProgrammedMatrix {
     /// any worker count — because each item's floating-point work is
     /// per-item pure and the accrual order matches the sequential path.
     /// Energy counters are bit-identical too under
-    /// [`KernelPath::Scalar`]; the default vectorized kernel re-associates
-    /// the total-current sum per row and tracks the reference to a
-    /// relative error ≤ 1e-12.
+    /// [`KernelPath::Scalar`]; the default [`KernelPath::Auto`] kernel
+    /// re-associates the total-current sum per row and tracks the
+    /// reference to a relative error ≤ 1e-12.
     ///
     /// Input rows are supplied by an index accessor instead of a
     /// materialized `&[&[f32]]`, so callers slicing a flat activation
@@ -235,7 +235,7 @@ impl ProgrammedMatrix {
         let per_block: Vec<Vec<ItemResult>> =
             nebula_tensor::pool::par_map_indexed(blocks, workers, |b| {
                 let mut totals = vec![Amps::ZERO; M];
-                // Lane-padded so the vectorized kernel can write its
+                // Lane-padded so the f64 lane kernel can write its
                 // tail lanes (every tile's scratch_cols() is ≤ this).
                 let mut diff = vec![0.0f64; kernel::padded_len(M)];
                 let mut drive: Vec<f64> = Vec::new();
@@ -600,11 +600,11 @@ impl AnalogNetwork {
     }
 
     /// Selects the crossbar inner-loop kernel every programmed tile
-    /// evaluates through (default [`KernelPath::Vectorized`]). Outputs
-    /// are bit-identical on every path; under the vectorized and
-    /// quantized paths read energy uses the per-row-sum formulation and
-    /// agrees with the scalar/reference path to a relative error ≤ 1e-12
-    /// per dot instead of bitwise (see [`nebula_crossbar::kernel`]).
+    /// evaluates through (default [`KernelPath::Auto`]). Outputs are
+    /// bit-identical on both paths; under Auto read energy uses the
+    /// per-row-sum formulation and agrees with the scalar/reference path
+    /// to a relative error ≤ 1e-12 per dot instead of bitwise (see
+    /// [`nebula_crossbar::kernel`]).
     pub fn set_kernel_path(&mut self, path: KernelPath) {
         for stage in &mut self.stages {
             if let AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } = stage {
@@ -615,9 +615,8 @@ impl AnalogNetwork {
 
     /// Bytes the conductance caches backing the current kernel path
     /// occupy across all programmed tiles (building any missing layouts
-    /// first) — the footprint `bench_hotpath` reports per path. The
-    /// quantized layout packs state indices two per byte, so it lands at
-    /// a fraction of the f64 differential cache.
+    /// first) — the footprint `bench_hotpath` reports per path. Auto
+    /// holds both the f64 lane and the 4-bit packed layout.
     pub fn conductance_cache_bytes(&mut self) -> usize {
         self.stages
             .iter_mut()
@@ -841,12 +840,12 @@ mod tests {
             assert_eq!(c.to_bits(), b.to_bits(), "scalar {c} vs reference {b}");
         }
         // Scalar kernel: energy bitwise-identical to the reference leg;
-        // vectorized kernel: per-row energy re-association within 1e-12.
+        // auto kernel: per-row energy re-association within 1e-12.
         assert_eq!(scalar.read_energy(), slow.read_energy());
         let (e_vec, e_ref) = (fast.read_energy().0, slow.read_energy().0);
         assert!(
             (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
-            "vectorized energy {e_vec} vs reference {e_ref}"
+            "auto energy {e_vec} vs reference {e_ref}"
         );
         assert_eq!(fast.waves(), slow.waves());
     }
@@ -866,7 +865,7 @@ mod tests {
         let (e_vec, e_ref) = (fast.read_energy().0, slow.read_energy().0);
         assert!(
             (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
-            "vectorized energy {e_vec} vs reference {e_ref}"
+            "auto energy {e_vec} vs reference {e_ref}"
         );
     }
 

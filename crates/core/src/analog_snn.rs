@@ -117,8 +117,8 @@ impl SnnMatrix {
     /// item's floating-point work is per-item pure, and the accrual
     /// order matches the sequential path. Energy counters are
     /// bit-identical too under [`KernelPath::Scalar`]; the default
-    /// vectorized kernel re-associates the total-current sum per row
-    /// and tracks the reference to a relative error ≤ 1e-12.
+    /// [`KernelPath::Auto`] kernel re-associates the total-current sum
+    /// per row and tracks the reference to a relative error ≤ 1e-12.
     ///
     /// A fully silent batch returns its all-zero outputs immediately —
     /// no tile preparation, no pool dispatch, no accrual walk. The
@@ -165,7 +165,7 @@ impl SnnMatrix {
                 let lo = b * n / blocks;
                 let hi = (b + 1) * n / blocks;
                 let mut totals = vec![Amps::ZERO; M];
-                // Lane-padded so the vectorized kernel can write its
+                // Lane-padded so the f64 lane kernel can write its
                 // tail lanes (every tile's scratch_cols() is ≤ this).
                 let mut diff = vec![0.0f64; kernel::padded_len(M)];
                 let mut active: Vec<usize> = Vec::new();
@@ -596,11 +596,11 @@ impl AnalogSpikingNetwork {
     }
 
     /// Selects the crossbar inner-loop kernel every programmed tile
-    /// evaluates through (default [`KernelPath::Vectorized`]). Outputs
-    /// are bit-identical on every path; under the vectorized and
-    /// quantized paths read energy uses the per-row-sum formulation and
-    /// agrees with the scalar/reference path to a relative error ≤ 1e-12
-    /// per dot instead of bitwise (see [`nebula_crossbar::kernel`]).
+    /// evaluates through (default [`KernelPath::Auto`]). Outputs are
+    /// bit-identical on both paths; under Auto read energy uses the
+    /// per-row-sum formulation and agrees with the scalar/reference path
+    /// to a relative error ≤ 1e-12 per dot instead of bitwise (see
+    /// [`nebula_crossbar::kernel`]).
     pub fn set_kernel_path(&mut self, path: KernelPath) {
         for stage in &mut self.stages {
             if let SpikingAnalogStage::Dense { matrix, .. }
@@ -1260,15 +1260,15 @@ mod tests {
     }
 
     #[test]
-    fn quantized_spike_gather_dismisses_silent_items_without_energy() {
+    fn packed_spike_gather_dismisses_silent_items_without_energy() {
         let weight = Tensor::from_vec(
             (0..10 * 3).map(|i| (i % 5) as f32 / 4.0 - 0.4).collect(),
             &[10, 3],
         )
         .unwrap();
         let config = CrossbarConfig::paper_default(Mode::Snn);
-        let mut quant = SnnMatrix::program(&weight, &config).unwrap();
-        quant.set_kernel_path(KernelPath::Quantized);
+        let mut packed = SnnMatrix::program(&weight, &config).unwrap();
+        packed.set_kernel_path(KernelPath::Auto);
 
         // A batch of only silent items must produce zero outputs and
         // touch neither the LUT nor the energy counters.
@@ -1277,12 +1277,12 @@ mod tests {
         for _ in 0..3 {
             silent.push_item();
         }
-        let out = quant
+        let out = packed
             .dot_spikes_batch_active_with(&silent, nebula_tensor::pool::size())
             .unwrap();
         assert!(out.iter().all(|&v| v == 0.0));
         assert_eq!(
-            quant.read_energy(),
+            packed.read_energy(),
             Joules::ZERO,
             "silent items must not accrue read energy"
         );
@@ -1297,7 +1297,7 @@ mod tests {
         batch.push_item(); // single active row
         batch.idx.extend([0u32, 3, 9]);
         batch.push_item();
-        let out = quant
+        let out = packed
             .dot_spikes_batch_active_with(&batch, nebula_tensor::pool::size())
             .unwrap();
         let mut spikes = vec![vec![0.0f32; 10]; 3];
@@ -1311,13 +1311,13 @@ mod tests {
                 assert_eq!(q.to_bits(), s.to_bits(), "item {i} col {c}");
             }
         }
-        // Energy: quantized accrues via per-row sums, bitwise equal to
-        // the vectorized formulation on the same activity.
-        let mut vector = SnnMatrix::program(&weight, &config).unwrap();
-        vector
-            .dot_spikes_batch_active_with(&batch, nebula_tensor::pool::size())
-            .unwrap();
-        assert_eq!(quant.read_energy(), vector.read_energy());
+        // Energy: the packed layout accrues via per-row sums, within
+        // 1e-12 of the per-cell reference chain on the same activity.
+        let (e_auto, e_ref) = (packed.read_energy().0, scalar.read_energy().0);
+        assert!(
+            (e_auto - e_ref).abs() <= 1e-12 * e_ref.abs(),
+            "auto energy {e_auto} vs reference {e_ref}"
+        );
     }
 
     #[test]
@@ -1552,12 +1552,12 @@ mod tests {
             assert_eq!(c.to_bits(), b.to_bits(), "scalar {c} vs reference {b}");
         }
         // Scalar kernel: energy bitwise-identical to the reference leg;
-        // vectorized kernel: per-row energy re-association within 1e-12.
+        // auto kernel: per-row energy re-association within 1e-12.
         assert_eq!(scalar.read_energy(), slow.read_energy());
         let (e_vec, e_ref) = (fast.read_energy().0, slow.read_energy().0);
         assert!(
             (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
-            "vectorized energy {e_vec} vs reference {e_ref}"
+            "auto energy {e_vec} vs reference {e_ref}"
         );
         assert_eq!(fast.waves(), slow.waves());
     }

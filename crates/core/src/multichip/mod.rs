@@ -968,25 +968,6 @@ impl ShardedSpikingNetwork {
         })
     }
 
-    /// Runs independently seeded request groups — the serving layer's
-    /// entry point; bit-identical to the donor's
-    /// [`AnalogSpikingNetwork::run_seeded_groups`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::BadGeometry`] when the group row counts
-    /// don't sum to the batch size; propagates circuit, tensor and
-    /// routing failures.
-    pub fn run_seeded_groups(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        groups: &[(usize, u64)],
-    ) -> Result<Tensor, AnalogError> {
-        let mut encode = seeded_group_encoder(self.encoding, inputs, groups)?;
-        self.run_with_encoder(inputs, timesteps, &mut encode)
-    }
-
     fn run_with_encoder(
         &mut self,
         inputs: &Tensor,
@@ -1038,12 +1019,16 @@ impl ShardedSpikingNetwork {
         })
     }
 
-    /// [`run_seeded_groups`](Self::run_seeded_groups) through the
-    /// concurrent pipeline — the serving layer's pipelined entry point.
+    /// Runs independently seeded request groups through the concurrent
+    /// pipeline — the serving layer's entry point; bit-identical to the
+    /// donor's [`AnalogSpikingNetwork::run_seeded_groups`].
     ///
     /// # Errors
     ///
-    /// Same contract as [`run_seeded_groups`](Self::run_seeded_groups).
+    /// Returns [`AnalogError::BadGeometry`] when the group row counts
+    /// don't sum to the batch size; propagates circuit, tensor and
+    /// routing failures (the latter from the journal replay at the
+    /// join).
     pub fn run_seeded_groups_pipelined(
         &mut self,
         inputs: &Tensor,

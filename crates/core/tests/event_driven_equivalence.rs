@@ -29,12 +29,7 @@ use rand_chacha::ChaCha8Rng;
 /// Accumulated per-row-sum energy tolerance (1e-12 relative per dot).
 const ENERGY_RTOL: f64 = 1e-9;
 
-const PATHS: [KernelPath; 4] = [
-    KernelPath::Scalar,
-    KernelPath::Vectorized,
-    KernelPath::Quantized,
-    KernelPath::Auto,
-];
+const PATHS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Auto];
 
 /// A dense two-stage spiking net: `input → IF → hidden → IF`.
 fn dense_snn(input: usize, hidden: usize, out: usize, seed: u64) -> AnalogSpikingNetwork {

@@ -66,31 +66,31 @@ pub struct AtomicCrossbar {
     eff_cache: Option<EffCache>,
     /// Which inner-loop kernel the prepared evaluators dispatch to.
     /// Switching paths does not invalidate the cache: the next
-    /// `prepare()`/`ensure_cache` materializes the missing layout
+    /// `prepare()`/`ensure_cache` materializes the missing layouts
     /// alongside the ones already built.
     kernel: KernelPath,
 }
 
-/// The prepared evaluation cache: one lazily built layout per
-/// [`KernelPath`]. State mutations drop the whole cache (`eff_cache =
-/// None`); within a clean cache, each layout is built the first time its
-/// kernel path needs it and kept thereafter, so path switches re-prepare
-/// at most once per layout instead of discarding the others.
+/// The prepared evaluation cache. State mutations drop the whole cache
+/// (`eff_cache = None`); within a clean cache, each layout is built the
+/// first time its kernel path needs it and kept thereafter, so path
+/// switches re-prepare at most once per layout instead of discarding the
+/// others.
 #[derive(Debug, Clone, Default)]
 struct EffCache {
     /// Fault/age-resolved effective conductances, row-major
     /// `rows_used × cols_used` — exactly what the legacy per-cell loop
     /// would compute, consumed by [`KernelPath::Scalar`].
     scalar: Option<Vec<f64>>,
-    /// The column-lane layout consumed by [`KernelPath::Vectorized`]
-    /// (and by a spilled [`KernelPath::Quantized`]).
+    /// The f64 lane layout [`KernelPath::Auto`] drives dense inputs (and
+    /// spikes on a spilled array) through.
     vector: Option<VectorLayout>,
-    /// The bit-packed palette layout consumed by
-    /// [`KernelPath::Quantized`].
+    /// The 4-bit packed layout [`KernelPath::Auto`] drives spikes
+    /// through.
     quant: Option<QuantLayout>,
 }
 
-/// Differential column-lane layout ([`KernelPath::Vectorized`]).
+/// Differential f64 lane layout.
 #[derive(Debug, Clone)]
 struct VectorLayout {
     /// Differential conductances `g_eff − g_mid`, row-major with each row
@@ -103,10 +103,10 @@ struct VectorLayout {
     padded_cols: usize,
 }
 
-/// Bit-packed 4-bit layout ([`KernelPath::Quantized`]): either the
-/// nibble-packed palette form, or a marker that the array's
-/// fault-resolved conductances would not fit a [`kernel::PALETTE`]-entry
-/// palette and evaluation goes through the vectorized layout instead.
+/// Bit-packed 4-bit layout: either the nibble-packed palette form, or a
+/// marker that the array's fault-resolved conductances would not fit a
+/// [`kernel::PALETTE`]-entry palette and spikes evaluate through the
+/// f64 lane layout instead.
 #[derive(Debug, Clone)]
 enum QuantLayout {
     /// Boxed so the un-prepared / spilled states don't carry the full
@@ -132,19 +132,14 @@ struct QuantPacked {
     packed: Vec<u8>,
     /// Bytes per packed row: `kernel::packed_row_len(cols_used)`.
     stride: usize,
-    /// Distinct fault/age-resolved conductances, in first-seen
-    /// (row-major cell) order; ≤ [`kernel::PALETTE`] entries.
-    pal_g: Vec<f64>,
-    /// `pal_g[s] − g_mid`, the same subtraction the scalar loop performs
-    /// per cell visit, done once per palette entry here.
-    pal_dg: Vec<f64>,
-    /// `v_read · pal_dg[s]` for the binary spike drive (`x = 1`), padded
-    /// with zeros to [`kernel::PALETTE`]; the constant-voltage sparse
-    /// path gathers from this without any per-row multiply.
-    vdg_spike: [f64; kernel::PALETTE],
-    /// Byte-pair expansion of `vdg_spike`: entry `b` holds
-    /// `[vdg_spike[b & 15], vdg_spike[b >> 4]]`, so the spike gather
-    /// loads one aligned 16-byte pair per packed byte with no nibble
+    /// Byte-pair LUT for the binary spike drive (`x = 1`): entry `b`
+    /// holds `[vdg[b & 15], vdg[b >> 4]]` with `vdg[s] = v_read ·
+    /// (g_s − g_mid)` over the palette of distinct fault/age-resolved
+    /// conductances `g_s` (first-seen row-major order, ≤
+    /// [`kernel::PALETTE`] entries). That is the multiply and
+    /// subtraction the scalar loop performs per cell visit, done once
+    /// per palette entry here, so the spike gather loads one aligned
+    /// 16-byte pair per packed byte with no multiplies or nibble
     /// arithmetic. 4 KiB per AC, built once per prepare.
     pair_spike: Vec<[f64; 2]>,
     /// Per-row conductance sums, identical bits to
@@ -188,7 +183,7 @@ impl AtomicCrossbar {
     }
 
     /// Selects the inner-loop kernel the noise-free evaluators run
-    /// through (default [`KernelPath::Vectorized`], overridable
+    /// through (default [`KernelPath::Auto`], overridable
     /// process-wide via `NEBULA_KERNEL_PATH` — see
     /// [`KernelPath::from_env`]). Differential outputs are bit-identical
     /// on every path; only the energy term's association differs (see
@@ -205,7 +200,7 @@ impl AtomicCrossbar {
     }
 
     /// Scratch width the `*_prepared` evaluators require: `cols_used`
-    /// rounded up to a lane multiple (the vectorized kernel writes the
+    /// rounded up to a lane multiple (the f64 lane kernel writes the
     /// zero-padded tail lanes).
     pub(crate) fn padded_cols(&self) -> usize {
         kernel::padded_len(self.cols_used)
@@ -596,63 +591,36 @@ impl AtomicCrossbar {
         }
     }
 
-    /// Rebuilds the effective-conductance cache layout(s) the current
+    /// Rebuilds the effective-conductance cache layouts the current
     /// kernel path needs, if a state mutation marked the cache dirty or
-    /// the path was switched to one whose layout is not materialized
+    /// the path was switched to one whose layouts are not materialized
     /// yet. Each cached value is exactly what the legacy loop would
     /// compute (fault- and age-resolved programmed conductance), so
     /// cached evaluations are bit-identical by construction; the
     /// differential layouts store the same `g_eff − g_mid` the scalar
     /// loop computes per visit, pre-subtracted once here (per cell for
-    /// the vectorized layout, per palette entry for the quantized one).
+    /// the f64 lane layout, per palette entry for the packed one).
     fn ensure_cache(&mut self) {
-        if self.eff_cache.is_none() {
-            self.eff_cache = Some(EffCache::default());
-        }
-        let have = |c: &EffCache| match self.kernel {
-            KernelPath::Scalar => c.scalar.is_some(),
-            KernelPath::Vectorized => c.vector.is_some(),
-            KernelPath::Quantized => c.quant.is_some(),
-            // Auto dispatches per drive shape, so both target layouts
-            // must be materialized.
-            KernelPath::Auto => c.vector.is_some() && c.quant.is_some(),
-        };
-        if !have(self.eff_cache.as_ref().unwrap()) {
-            match self.kernel {
-                KernelPath::Scalar => {
-                    let eff = self.build_scalar();
-                    self.eff_cache.as_mut().unwrap().scalar = Some(eff);
+        let mut cache = self.eff_cache.take().unwrap_or_default();
+        match self.kernel {
+            KernelPath::Scalar => {
+                if cache.scalar.is_none() {
+                    cache.scalar = Some(self.build_scalar());
                 }
-                KernelPath::Vectorized => {
-                    let vector = self.build_vector();
-                    self.eff_cache.as_mut().unwrap().vector = Some(vector);
+            }
+            // Auto dispatches per drive shape, so both layouts must be
+            // materialized; a spilled packed layout evaluates through
+            // the f64 one, which therefore always exists alongside it.
+            KernelPath::Auto => {
+                if cache.vector.is_none() {
+                    cache.vector = Some(self.build_vector());
                 }
-                KernelPath::Quantized => {
-                    let quant = self.build_quant();
-                    self.eff_cache.as_mut().unwrap().quant = Some(quant);
-                }
-                KernelPath::Auto => {
-                    if self.eff_cache.as_ref().unwrap().vector.is_none() {
-                        let vector = self.build_vector();
-                        self.eff_cache.as_mut().unwrap().vector = Some(vector);
-                    }
-                    if self.eff_cache.as_ref().unwrap().quant.is_none() {
-                        let quant = self.build_quant();
-                        self.eff_cache.as_mut().unwrap().quant = Some(quant);
-                    }
+                if cache.quant.is_none() {
+                    cache.quant = Some(self.build_quant());
                 }
             }
         }
-        // A spilled quantized layout evaluates through the vectorized
-        // one, which must then exist too.
-        let cache = self.eff_cache.as_ref().unwrap();
-        if matches!(self.kernel, KernelPath::Quantized | KernelPath::Auto)
-            && matches!(cache.quant, Some(QuantLayout::Spill))
-            && cache.vector.is_none()
-        {
-            let vector = self.build_vector();
-            self.eff_cache.as_mut().unwrap().vector = Some(vector);
-        }
+        self.eff_cache = Some(cache);
     }
 
     /// Scalar layout: the resolved conductances, row-major over the
@@ -669,7 +637,7 @@ impl AtomicCrossbar {
         eff
     }
 
-    /// Vectorized layout: lane-padded differential conductances plus
+    /// F64 lane layout: lane-padded differential conductances plus
     /// per-row sums.
     fn build_vector(&self) -> VectorLayout {
         let faulty = !self.faults.is_empty();
@@ -694,7 +662,7 @@ impl AtomicCrossbar {
         }
     }
 
-    /// Quantized layout: deduplicates the resolved conductances into a
+    /// Packed layout: deduplicates the resolved conductances into a
     /// first-seen palette and packs per-cell indices two per byte.
     /// Returns [`QuantLayout::Spill`] when the block holds more than
     /// [`kernel::PALETTE`] distinct values (only possible under faults
@@ -729,11 +697,10 @@ impl AtomicCrossbar {
             }
             row_sum.push(sum);
         }
-        let pal_dg: Vec<f64> = pal_g.iter().map(|&g| g - g_mid).collect();
         let v_read = self.config.mode.read_voltage().0;
-        let mut vdg_spike = [0.0f64; kernel::PALETTE];
-        for (slot, &dg) in vdg_spike.iter_mut().zip(pal_dg.iter()) {
-            *slot = v_read * dg;
+        let mut vdg = [0.0f64; kernel::PALETTE];
+        for (slot, &g) in vdg.iter_mut().zip(pal_g.iter()) {
+            *slot = v_read * (g - g_mid);
         }
         // Only arrays that actually hold cells pay for the 4 KiB pair
         // table (a super-tile's unprogrammed ACs would otherwise dwarf
@@ -741,67 +708,46 @@ impl AtomicCrossbar {
         let pair_spike = if packed.is_empty() {
             Vec::new()
         } else {
-            (0..256)
-                .map(|b| [vdg_spike[b & 0x0F], vdg_spike[b >> 4]])
-                .collect()
+            (0..256).map(|b| [vdg[b & 0x0F], vdg[b >> 4]]).collect()
         };
         QuantLayout::Packed(Box::new(QuantPacked {
             packed,
             stride,
-            pal_g,
-            pal_dg,
-            vdg_spike,
             pair_spike,
             row_sum,
         }))
     }
 
-    /// Bytes the cache layout backing the *current* kernel path occupies
+    /// Bytes the cache layouts backing the *current* kernel path occupy
     /// (0 while the cache is dirty or unbuilt): the quantity
-    /// `bench_hotpath` reports as the conductance-cache footprint. A
-    /// spilled quantized layout is charged the vectorized bytes it
-    /// actually evaluates through.
+    /// `bench_hotpath` reports as the conductance-cache footprint.
     pub fn kernel_cache_bytes(&self) -> usize {
         let Some(cache) = &self.eff_cache else {
             return 0;
         };
         let f64s = std::mem::size_of::<f64>();
-        let vector_bytes = |v: &Option<VectorLayout>| {
-            v.as_ref()
-                .map_or(0, |v| (v.dg.len() + v.row_sum.len()) * f64s)
-        };
-        let quant_bytes = |c: &EffCache| match &c.quant {
-            Some(QuantLayout::Packed(q)) => {
-                q.packed.len()
-                    + (q.pal_g.len()
-                        + q.pal_dg.len()
-                        + q.vdg_spike.len()
-                        + 2 * q.pair_spike.len()
-                        + q.row_sum.len())
-                        * f64s
-            }
-            Some(QuantLayout::Spill) => vector_bytes(&c.vector),
-            None => 0,
-        };
         match self.kernel {
             KernelPath::Scalar => cache.scalar.as_ref().map_or(0, |eff| eff.len() * f64s),
-            KernelPath::Vectorized => vector_bytes(&cache.vector),
-            KernelPath::Quantized => quant_bytes(cache),
-            // Auto keeps both layouts around; a spilled quantized layout
-            // shares the vectorized one, so it is charged only once.
+            // Auto keeps both layouts around; a spilled packed layout
+            // shares the f64 one, so it adds nothing.
             KernelPath::Auto => {
-                let v = vector_bytes(&cache.vector);
-                if matches!(cache.quant, Some(QuantLayout::Spill)) {
-                    v
-                } else {
-                    v + quant_bytes(cache)
-                }
+                let vector = cache
+                    .vector
+                    .as_ref()
+                    .map_or(0, |v| (v.dg.len() + v.row_sum.len()) * f64s);
+                let packed = match &cache.quant {
+                    Some(QuantLayout::Packed(q)) => {
+                        q.packed.len() + (2 * q.pair_spike.len() + q.row_sum.len()) * f64s
+                    }
+                    Some(QuantLayout::Spill) | None => 0,
+                };
+                vector + packed
             }
         }
     }
 
-    /// Whether the prepared quantized layout packed into nibbles
-    /// (`Some(true)`), spilled to the vectorized layout (`Some(false)`),
+    /// Whether the prepared packed layout packed into nibbles
+    /// (`Some(true)`), spilled to the f64 lane layout (`Some(false)`),
     /// or has not been built (`None`). Test/bench introspection.
     pub fn quantized_is_packed(&self) -> Option<bool> {
         match &self.eff_cache.as_ref()?.quant {
@@ -833,30 +779,12 @@ impl AtomicCrossbar {
         self.eval_dense_prepared(inputs, diff)
     }
 
-    /// The concrete layout one evaluation dispatches to:
-    /// [`KernelPath::Auto`] resolves per drive shape (dense GEMV →
-    /// vectorized, constant-voltage spike → quantized — both produce
-    /// identical bits, see [`KernelPath::Auto`]); explicit paths resolve
-    /// to themselves.
-    fn effective_path(&self, spike_drive: bool) -> KernelPath {
-        match self.kernel {
-            KernelPath::Auto => {
-                if spike_drive {
-                    KernelPath::Quantized
-                } else {
-                    KernelPath::Vectorized
-                }
-            }
-            p => p,
-        }
-    }
-
     /// `&self` core of [`eval_cached`](Self::eval_cached), for callers
     /// that already ran [`prepare`](Self::prepare) — parallel batch
     /// workers evaluate through this without mutating the array; energy
     /// is accrued afterwards by the owner via
     /// [`accrue_read`](Self::accrue_read). `diff` must be at least
-    /// [`padded_cols`](Self::padded_cols) long; the vectorized kernel
+    /// [`padded_cols`](Self::padded_cols) long; the f64 lane kernel
     /// writes (zero) into the padding tail, and only `diff[..cols_used]`
     /// is meaningful.
     ///
@@ -871,7 +799,7 @@ impl AtomicCrossbar {
         let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
         let v_read = self.config.mode.read_voltage().0;
         let mut total_current = 0.0f64;
-        match self.effective_path(false) {
+        match self.kernel {
             KernelPath::Scalar => {
                 let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
                 let g_mid = self.g_mid();
@@ -888,7 +816,9 @@ impl AtomicCrossbar {
                     }
                 }
             }
-            KernelPath::Vectorized => {
+            // Dense drives always take the f64 lane layout: its axpy
+            // beats a per-drive LUT fill over the packed one.
+            KernelPath::Auto => {
                 let vl = cache.vector.as_ref().expect(PREPARE_MSG);
                 let pc = vl.padded_cols;
                 for (r, &x) in inputs.iter().enumerate() {
@@ -900,39 +830,6 @@ impl AtomicCrossbar {
                     kernel::axpy(v, &vl.dg[r * pc..(r + 1) * pc], diff);
                 }
             }
-            KernelPath::Quantized => match cache.quant.as_ref().expect(PREPARE_MSG) {
-                QuantLayout::Packed(q) => {
-                    let cols = self.cols_used;
-                    let mut vdg = [0.0f64; kernel::PALETTE];
-                    for (r, &x) in inputs.iter().enumerate() {
-                        if x == 0.0 {
-                            continue;
-                        }
-                        let v = v_read * x;
-                        total_current += v * q.row_sum[r];
-                        // Per-drive LUT: v · (g_s − g_mid) — the same
-                        // multiply, on the same operands, the scalar
-                        // loop performs per cell visit.
-                        for (slot, &dg) in vdg.iter_mut().zip(q.pal_dg.iter()) {
-                            *slot = v * dg;
-                        }
-                        kernel::gather_add(&vdg, &q.packed[r * q.stride..], cols, diff);
-                    }
-                }
-                QuantLayout::Spill => {
-                    let vl = cache.vector.as_ref().expect(PREPARE_MSG);
-                    let pc = vl.padded_cols;
-                    for (r, &x) in inputs.iter().enumerate() {
-                        if x == 0.0 {
-                            continue;
-                        }
-                        let v = v_read * x;
-                        total_current += v * vl.row_sum[r];
-                        kernel::axpy(v, &vl.dg[r * pc..(r + 1) * pc], diff);
-                    }
-                }
-            },
-            KernelPath::Auto => unreachable!("Auto resolves to a concrete layout"),
         }
         total_current
     }
@@ -972,7 +869,7 @@ impl AtomicCrossbar {
         let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
         let v = self.config.mode.read_voltage().0;
         let mut total_current = 0.0f64;
-        match self.effective_path(true) {
+        match self.kernel {
             KernelPath::Scalar => {
                 let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
                 let g_mid = self.g_mid();
@@ -986,16 +883,7 @@ impl AtomicCrossbar {
                     }
                 }
             }
-            KernelPath::Vectorized => {
-                let vl = cache.vector.as_ref().expect(PREPARE_MSG);
-                let pc = vl.padded_cols;
-                for &r in active_rows {
-                    let r = r - base;
-                    total_current += v * vl.row_sum[r];
-                    kernel::axpy(v, &vl.dg[r * pc..(r + 1) * pc], diff);
-                }
-            }
-            KernelPath::Quantized => match cache.quant.as_ref().expect(PREPARE_MSG) {
+            KernelPath::Auto => match cache.quant.as_ref().expect(PREPARE_MSG) {
                 QuantLayout::Packed(q) => {
                     // Binary spike drive: v is exactly v_read, so the
                     // prepare-time byte-pair LUT already holds every
@@ -1022,7 +910,6 @@ impl AtomicCrossbar {
                     }
                 }
             },
-            KernelPath::Auto => unreachable!("Auto resolves to a concrete layout"),
         }
         total_current
     }
@@ -1081,88 +968,12 @@ impl AtomicCrossbar {
         self.accrue_read(total_current, 1);
     }
 
-    /// Evaluates a whole batch of input vectors in one call, amortizing
-    /// the per-call bookkeeping: outputs and energy counters are
-    /// **bit-identical** to calling [`dot`](Self::dot) on each item in
-    /// turn — read energy is accrued per item in batch order, exactly as
-    /// a sequence of `dot` calls would.
-    ///
-    /// Validation is all-or-nothing: if any item has the wrong length the
-    /// call fails before any evaluation, and no energy is accrued.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InputLengthMismatch`] when any item's
-    /// length differs from `rows_used`.
-    pub fn dot_batch<S: AsRef<[f64]>>(
-        &mut self,
-        batch: &[S],
-    ) -> Result<Vec<Vec<Amps>>, CrossbarError> {
-        for item in batch {
-            if item.as_ref().len() != self.rows_used {
-                return Err(CrossbarError::InputLengthMismatch {
-                    len: item.as_ref().len(),
-                    expected: self.rows_used,
-                });
-            }
-        }
-        Ok(self.dot_batch_unchecked(batch))
-    }
-
-    /// [`dot_batch`](Self::dot_batch) without per-item validation.
-    pub(crate) fn dot_batch_unchecked<S: AsRef<[f64]>>(&mut self, batch: &[S]) -> Vec<Vec<Amps>> {
-        let mut out = Vec::with_capacity(batch.len());
-        let mut diff = vec![0.0f64; self.padded_cols()];
-        for item in batch {
-            diff.fill(0.0);
-            let total_current = self.eval_cached(item.as_ref(), &mut diff);
-            self.accrue_read(total_current, 1);
-            out.push(diff[..self.cols_used].iter().copied().map(Amps).collect());
-        }
-        out
-    }
-
-    /// Batched spike-sparse evaluation: one item per active-row list,
-    /// bit-identical (outputs and energy) to calling
-    /// [`dot_sparse`](Self::dot_sparse) on each item in turn.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidActiveRows`] when any item's list
-    /// is out of range or not strictly ascending; validation is
-    /// all-or-nothing.
-    pub fn dot_batch_sparse<S: AsRef<[usize]>>(
-        &mut self,
-        batch: &[S],
-    ) -> Result<Vec<Vec<Amps>>, CrossbarError> {
-        for item in batch {
-            self.validate_active_rows(item.as_ref())?;
-        }
-        Ok(self.dot_batch_sparse_unchecked(batch))
-    }
-
-    /// [`dot_batch_sparse`](Self::dot_batch_sparse) without validation.
-    pub(crate) fn dot_batch_sparse_unchecked<S: AsRef<[usize]>>(
-        &mut self,
-        batch: &[S],
-    ) -> Vec<Vec<Amps>> {
-        let mut out = Vec::with_capacity(batch.len());
-        let mut diff = vec![0.0f64; self.padded_cols()];
-        for item in batch {
-            diff.fill(0.0);
-            let total_current = self.eval_cached_sparse(item.as_ref(), 0, &mut diff);
-            self.accrue_read(total_current, 1);
-            out.push(diff[..self.cols_used].iter().copied().map(Amps).collect());
-        }
-        out
-    }
-
     /// Batched spike-sparse evaluation that accumulates straight into the
     /// caller's per-item running totals (Kirchhoff summation) instead of
     /// materializing a `Vec<Amps>` per item. Row indices are interpreted
     /// relative to `base`. Accumulation happens per item in batch order,
     /// column-ascending — the same floating-point sequence as summing the
-    /// [`dot_batch_sparse`](Self::dot_batch_sparse) return values would
+    /// return values of [`dot_sparse`](Self::dot_sparse) per item would
     /// produce, so results stay bit-identical.
     pub(crate) fn dot_batch_sparse_accumulate(
         &mut self,
@@ -1462,31 +1273,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_batch_matches_individual_dots_exactly() {
-        let mut x = xbar(Mode::Ann);
-        let w = vec![
-            vec![0.5, -0.25, 1.0],
-            vec![-1.0, 0.75, 0.0],
-            vec![0.25, 0.5, -0.5],
-        ];
-        x.program(&w, 1.0).unwrap();
-        let batch = vec![
-            vec![1.0, 0.5, 0.25],
-            vec![0.0, 1.0, 0.0],
-            vec![0.0, 0.0, 0.0], // all-silent item still counts as an evaluation
-            vec![0.7, 0.0, 0.9],
-        ];
-        let mut seq = x.clone();
-        let expected: Vec<Vec<Amps>> = batch.iter().map(|b| seq.dot(b).unwrap()).collect();
-        let got = x.dot_batch(&batch).unwrap();
-        assert_eq!(got, expected, "batch outputs must be bit-identical");
-        assert_eq!(x.evaluations(), seq.evaluations());
-        // Energy is accrued per item in batch order, so the counters
-        // match the sequential path bit for bit.
-        assert_eq!(x.accumulated_read_energy(), seq.accumulated_read_energy());
-    }
-
-    #[test]
     fn cached_dot_matches_reference_under_faults_and_aging() {
         use nebula_device::fault::{CellFault, FaultClass, FaultModel};
         let model = FaultModel::none()
@@ -1508,11 +1294,11 @@ mod tests {
         let fast = x.dot(&inputs).unwrap();
         let legacy = reference.dot_reference(&inputs).unwrap();
         let pinned = scalar.dot(&inputs).unwrap();
-        assert_eq!(fast, legacy, "vectorized path must be bit-identical");
+        assert_eq!(fast, legacy, "auto path must be bit-identical");
         assert_eq!(pinned, legacy, "scalar path must be bit-identical");
         // The scalar path reproduces the reference energy bitwise; the
-        // vectorized path re-associates the total-current sum per row and
-        // is held to the documented ≤ 1e-12 relative tolerance.
+        // auto path re-associates the total-current sum per row and is
+        // held to the documented ≤ 1e-12 relative tolerance.
         assert_eq!(
             scalar.accumulated_read_energy(),
             reference.accumulated_read_energy()
@@ -1521,7 +1307,7 @@ mod tests {
         let e_vec = x.accumulated_read_energy().0;
         assert!(
             (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
-            "vectorized energy {e_vec} vs reference {e_ref}"
+            "auto energy {e_vec} vs reference {e_ref}"
         );
         assert_eq!(x.evaluations(), reference.evaluations());
     }
@@ -1595,13 +1381,6 @@ mod tests {
         assert_eq!(sparse_out, dense_out, "sparse must match dense bitwise");
         assert_eq!(x.accumulated_read_energy(), dense.accumulated_read_energy());
         assert_eq!(x.evaluations(), dense.evaluations());
-        // Batched sparse matches a sequence of sparse dots.
-        let batch = vec![vec![0usize, 2], vec![], vec![1, 4, 5, 7]];
-        let mut seq = x.clone();
-        let got = x.dot_batch_sparse(&batch).unwrap();
-        let expected: Vec<Vec<Amps>> = batch.iter().map(|b| seq.dot_sparse(b).unwrap()).collect();
-        assert_eq!(got, expected);
-        assert_eq!(x.accumulated_read_energy(), seq.accumulated_read_energy());
     }
 
     #[test]
@@ -1621,27 +1400,41 @@ mod tests {
             Err(CrossbarError::InvalidActiveRows { .. })
         ));
         assert_eq!(x.evaluations(), 0, "failed sparse call evaluates nothing");
-        assert!(matches!(
-            x.dot_batch_sparse(&[vec![0], vec![3, 0]]),
-            Err(CrossbarError::InvalidActiveRows { .. })
-        ));
         assert_eq!(x.accumulated_read_energy(), Joules::ZERO);
     }
 
     #[test]
-    fn dot_batch_validates_every_item_before_evaluating() {
-        let mut x = xbar(Mode::Ann);
-        x.program(&[vec![1.0], vec![1.0]], 1.0).unwrap();
-        let bad = vec![vec![1.0, 1.0], vec![1.0]]; // second item too short
-        assert!(matches!(
-            x.dot_batch(&bad),
-            Err(CrossbarError::InputLengthMismatch {
-                len: 1,
-                expected: 2
+    fn layout_builders_agree_on_row_sums_bitwise() {
+        use nebula_device::fault::CellFault;
+        // Auto's energy term reads `row_sum` from whichever layout a drive
+        // takes, so the two builders must produce the same bits — on
+        // clean, faulty and aged arrays alike.
+        let mut x = xbar(Mode::Snn);
+        let w: Vec<Vec<f64>> = (0..12)
+            .map(|r| {
+                (0..9)
+                    .map(|c| ((r * 9 + c) % 7) as f64 / 3.0 - 1.0)
+                    .collect()
             })
-        ));
-        assert_eq!(x.evaluations(), 0, "failed batch must evaluate nothing");
-        assert_eq!(x.accumulated_read_energy(), Joules::ZERO);
+            .collect();
+        x.program(&w, 1.0).unwrap();
+        for step in 0..3 {
+            let QuantLayout::Packed(q) = x.build_quant() else {
+                panic!("on-grid conductances must pack (step {step})");
+            };
+            let v = x.build_vector();
+            assert_eq!(q.row_sum.len(), 12);
+            for (r, (a, b)) in q.row_sum.iter().zip(&v.row_sum).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "step {step} row {r}");
+            }
+            match step {
+                0 => {
+                    x.set_cell_fault(2, 3, CellFault::StuckAtGmax);
+                    x.set_cell_fault(5, 1, CellFault::RetentionDrift { rate_per_s: 0.01 });
+                }
+                _ => x.advance_age(Seconds(30.0)),
+            }
+        }
     }
 
     #[test]

@@ -1,26 +1,38 @@
-//! Column-lane vectorized GEMV kernels for the analog crossbar.
+//! Column-lane GEMV and packed spike-gather kernels for the analog
+//! crossbar.
 //!
 //! The crossbar dot product is a GEMV over cached conductances (the
 //! current-summing spin-neuron evaluation of the DW-magnet designs the
 //! paper builds on). This module holds the lane-level primitives the
 //! [`AtomicCrossbar`](crate::array::AtomicCrossbar) evaluators dispatch
 //! to, plus the [`KernelPath`] selector that switches between the pinned
-//! scalar reference loop and the vectorized layout.
+//! scalar reference loop and the production [`KernelPath::Auto`] path.
 //!
-//! # Layout and bit-identity contract
+//! # Layouts and bit-identity contract
 //!
-//! The prepared cache stores, per programmed row, the *differential*
-//! conductances `g_eff − g_mid` pre-subtracted per cell and zero-padded
-//! to a multiple of [`LANES`], alongside a per-row total-conductance sum
-//! for the energy term. Because `g_eff − g_mid` is computed once at
-//! prepare time with the exact same operands the scalar loop uses per
-//! visit, and because each output column `diff[j]` is still accumulated
-//! in row-ascending order, the vectorized differential outputs are
-//! **bit-identical** to the scalar fast path and to `dot_reference`.
+//! [`KernelPath::Auto`] owns two prepared layouts of the same resolved
+//! conductances and picks one per drive shape:
+//!
+//! - **f64 lanes** (dense drives): per programmed row, the
+//!   *differential* conductances `g_eff − g_mid` pre-subtracted per cell
+//!   and zero-padded to a multiple of [`LANES`], alongside a per-row
+//!   total-conductance sum for the energy term. `g_eff − g_mid` is
+//!   computed once at prepare time with the exact operands the scalar
+//!   loop uses per visit, and each output column `diff[j]` is still
+//!   accumulated in row-ascending order, so the differential outputs are
+//!   **bit-identical** to [`KernelPath::Scalar`] and to `dot_reference`.
+//! - **4-bit packed** (binary spike drives): per-cell palette indices
+//!   packed two per byte plus a byte-pair LUT of `v_read · (g_s − g_mid)`
+//!   built once per prepare. Each column receives one add of exactly the
+//!   value the scalar loop would compute, in the same order — again
+//!   bit-identical. Arrays whose fault-resolved conductances exceed
+//!   [`PALETTE`] distinct values *spill* to the f64 layout.
+//!
 //! Only the total-current (energy) accumulation is re-associated — per
-//! row instead of per cell — so read energy under [`KernelPath::Vectorized`]
-//! agrees with the reference to a relative error ≤ 1e-12 rather than
-//! bitwise (the scalar path remains bitwise-exact on energy too).
+//! row instead of per cell, with bit-equal row sums in both layouts — so
+//! read energy under [`KernelPath::Auto`] agrees with the reference to a
+//! relative error ≤ 1e-12 per dot rather than bitwise (the scalar path
+//! remains bitwise-exact on energy too).
 //!
 //! # Lane width and feature detection
 //!
@@ -34,16 +46,16 @@
 //! numbers are identical across targets and `RUSTFLAGS` (a CI job builds
 //! with `-C target-cpu=native` to keep that property honest).
 
-/// Column-lane width of the vectorized kernels. Cached differential rows
+/// Column-lane width of the f64 lane kernels. Cached differential rows
 /// are zero-padded to a multiple of this.
 pub const LANES: usize = 8;
 
-/// Palette capacity of the quantized layout: one nibble indexes at most
+/// Palette capacity of the packed layout: one nibble indexes at most
 /// 16 distinct effective conductances — exactly the device's 4-bit state
 /// count, so every fault-free array packs. Arrays whose *fault-resolved*
 /// conductances exceed 16 distinct values (per-cell TMR factors,
-/// retention drift mixing on- and off-grid values) spill to the
-/// vectorized layout instead (see `AtomicCrossbar::quantized_is_packed`).
+/// retention drift mixing on- and off-grid values) spill to the f64
+/// lane layout instead (see `AtomicCrossbar::quantized_is_packed`).
 pub const PALETTE: usize = 16;
 
 /// Smallest multiple of [`LANES`] that holds `cols` values (the stride of
@@ -96,51 +108,30 @@ pub fn unpack_nibbles(packed: &[u8], len: usize) -> Vec<u8> {
 /// evaluates through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
-    /// The PR 3 scalar loop over effective conductances: per-cell
+    /// The scalar loop over effective conductances: per-cell
     /// `g − g_mid` subtraction and a single serial total-current chain.
     /// Pinned as the bitwise-exact reference (outputs *and* energy).
     Scalar,
-    /// Column-lane vectorized GEMV over the padded differential layout,
-    /// with the energy term folded into a per-row conductance sum.
-    /// Differential outputs stay bit-identical to [`KernelPath::Scalar`];
-    /// energy agrees to relative error ≤ 1e-12.
+    /// Per-drive-shape dispatch over two prepared layouts: dense GEMV
+    /// drives evaluate through the f64 lane layout (an axpy per active
+    /// row), constant-voltage spike drives through the 4-bit packed
+    /// layout (a byte-pair LUT gather per active row), and arrays whose
+    /// palette spills evaluate both through the f64 layout. Both layouts
+    /// produce bit-identical differential outputs and bit-identical
+    /// per-row-sum energy, so the dispatch can never change a bit — it
+    /// only picks the faster inner loop per call. Costs both layouts'
+    /// cache footprint.
     #[default]
-    Vectorized,
-    /// Bit-packed 4-bit tier: per-cell palette indices packed two per
-    /// byte plus a ≤[`PALETTE`]-entry fault/age-resolved conductance LUT.
-    /// The inner loop is a gathered LUT add — `diff[j] += vdg[nibble]`,
-    /// where `vdg[s] = v · (g_s − g_mid)` is precomputed per drive (once
-    /// per prepare on the constant-voltage spike path) — performing the
-    /// *same* multiply-then-add on the *same* operands as the scalar
-    /// loop, per column in row-ascending order. Differential outputs are
-    /// therefore bit-identical to [`KernelPath::Scalar`] on dense *and*
-    /// spike inputs; energy uses the per-row-sum formulation and is
-    /// bit-identical to [`KernelPath::Vectorized`] (≤ 1e-12 relative per
-    /// dot vs the reference). Arrays whose fault-resolved conductances
-    /// exceed [`PALETTE`] distinct values evaluate through the
-    /// vectorized layout instead (same output bits; see DESIGN.md
-    /// "Kernel layer").
-    Quantized,
-    /// Per-drive-shape dispatch: dense GEMV drives evaluate through the
-    /// [`KernelPath::Vectorized`] layout (where the axpy beats the
-    /// per-drive LUT fill the quantized dense loop pays — the qgain
-    /// 0.73× regression BENCH_hotpath recorded) and constant-voltage
-    /// spike drives evaluate through the [`KernelPath::Quantized`]
-    /// byte-pair gather (where the LUT wins). Both layouts produce
-    /// bit-identical differential outputs and bit-identical per-row-sum
-    /// energy, so the dispatch can never change a bit — it only picks
-    /// the faster inner loop per call. Costs both layouts' cache
-    /// footprint.
     Auto,
 }
 
 impl KernelPath {
     /// The kernel path new crossbars start on: `NEBULA_KERNEL_PATH`
-    /// (`scalar` | `vectorized` | `quantized` | `auto`, read once per
-    /// process) or the default when unset. Lets subprocess harnesses — the golden
-    /// regression tests re-running recorded experiment binaries under
-    /// `quantized` — pin the path without threading a parameter through
-    /// every binary. Explicit `set_kernel_path` calls still override it.
+    /// (`scalar` | `auto`, read once per process) or the default when
+    /// unset. Lets subprocess harnesses — the golden regression tests
+    /// re-running recorded experiment binaries under `scalar` — pin the
+    /// path without threading a parameter through every binary. Explicit
+    /// `set_kernel_path` calls still override it.
     ///
     /// # Panics
     ///
@@ -150,12 +141,8 @@ impl KernelPath {
         static PATH: std::sync::OnceLock<KernelPath> = std::sync::OnceLock::new();
         *PATH.get_or_init(|| match std::env::var("NEBULA_KERNEL_PATH") {
             Ok(v) if v == "scalar" => KernelPath::Scalar,
-            Ok(v) if v == "vectorized" => KernelPath::Vectorized,
-            Ok(v) if v == "quantized" => KernelPath::Quantized,
             Ok(v) if v == "auto" => KernelPath::Auto,
-            Ok(v) => {
-                panic!("NEBULA_KERNEL_PATH must be scalar|vectorized|quantized|auto, got {v:?}")
-            }
+            Ok(v) => panic!("NEBULA_KERNEL_PATH must be scalar|auto, got {v:?}"),
             Err(_) => KernelPath::default(),
         })
     }
@@ -183,34 +170,15 @@ pub(crate) fn axpy(v: f64, dg: &[f64], acc: &mut [f64]) {
     }
 }
 
-/// Gathered LUT accumulate over one packed nibble row:
-/// `acc[j] += vdg[index_of(j)]` for `j in 0..cols`, ascending. `vdg` must
-/// hold `v · dg_s` for every palette entry (unused slots are never
-/// indexed, since packed nibbles only ever name live palette entries and
-/// odd-`cols` padding nibbles are skipped). Column order matches the
-/// scalar loop's, and each `acc[j]` receives exactly one add of exactly
-/// the value the scalar loop would compute — bitwise identity by
-/// construction.
-#[inline]
-pub(crate) fn gather_add(vdg: &[f64; PALETTE], row: &[u8], cols: usize, acc: &mut [f64]) {
-    let full = cols / 2;
-    let (pairs, tail) = acc[..cols].split_at_mut(full * 2);
-    for (accp, &b) in pairs.chunks_exact_mut(2).zip(row) {
-        accp[0] += vdg[(b & 0x0F) as usize];
-        accp[1] += vdg[(b >> 4) as usize];
-    }
-    if let [t] = tail {
-        *t += vdg[(row[full] & 0x0F) as usize];
-    }
-}
-
-/// Byte-pair variant of [`gather_add`] for the constant-voltage spike
-/// path: `pair[b]` pre-expands both nibbles of byte value `b`
-/// (`[vdg[b & 15], vdg[b >> 4]]`), so each packed byte costs one aligned
-/// 16-byte load and two adds — no nibble arithmetic in the loop. The
-/// adds land on exactly the values [`gather_add`] would produce
-/// (`pair` is built from the same `vdg` table), in the same ascending
-/// column order, so results are bitwise identical.
+/// Gathered LUT accumulate over one packed nibble row for the
+/// constant-voltage spike path: `pair[b]` pre-expands both nibbles of
+/// byte value `b` (`[vdg[b & 15], vdg[b >> 4]]`, where `vdg[s] =
+/// v_read · (g_s − g_mid)`), so each packed byte costs one aligned
+/// 16-byte load and two adds — no multiplies or nibble arithmetic in
+/// the loop. Each `acc[j]` for `j in 0..cols` receives exactly one add
+/// of exactly the value the scalar loop would compute, in ascending
+/// column order, so results are bitwise identical. Odd-`cols` padding
+/// nibbles are never read.
 #[inline]
 pub(crate) fn gather_add_pairs(pair: &[[f64; 2]; 256], row: &[u8], cols: usize, acc: &mut [f64]) {
     let full = cols / 2;
@@ -254,8 +222,8 @@ mod tests {
     }
 
     #[test]
-    fn default_path_is_vectorized() {
-        assert_eq!(KernelPath::default(), KernelPath::Vectorized);
+    fn default_path_is_auto() {
+        assert_eq!(KernelPath::default(), KernelPath::Auto);
     }
 
     #[test]
@@ -275,33 +243,14 @@ mod tests {
     }
 
     #[test]
-    fn gather_add_pairs_matches_gather_add_bitwise() {
-        let mut vdg = [0.0f64; PALETTE];
-        for (s, v) in vdg.iter_mut().enumerate() {
-            *v = (s as f64 - 4.1) * 3.3e-8;
-        }
-        let pair: Vec<[f64; 2]> = (0..256).map(|b| [vdg[b & 0x0F], vdg[b >> 4]]).collect();
-        let pair: &[[f64; 2]; 256] = pair.as_slice().try_into().unwrap();
-        for cols in [1usize, 2, 5, 8, 15, 16, 31] {
-            let indices: Vec<u8> = (0..cols).map(|i| (i * 11 % PALETTE) as u8).collect();
-            let packed = pack_nibbles(&indices);
-            let mut a = vec![0.25f64; cols + 2];
-            let mut b = a.clone();
-            gather_add(&vdg, &packed, cols, &mut a);
-            gather_add_pairs(pair, &packed, cols, &mut b);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "cols {cols}");
-            }
-        }
-    }
-
-    #[test]
-    fn gather_add_matches_scalar_lut_walk_bitwise() {
+    fn gather_add_pairs_matches_scalar_lut_walk_bitwise() {
         let mut vdg = [0.0f64; PALETTE];
         for (s, v) in vdg.iter_mut().enumerate() {
             *v = (s as f64 - 7.3) * 1.7e-7;
         }
-        for cols in [1usize, 2, 5, 8, 15, 16] {
+        let pair: Vec<[f64; 2]> = (0..256).map(|b| [vdg[b & 0x0F], vdg[b >> 4]]).collect();
+        let pair: &[[f64; 2]; 256] = pair.as_slice().try_into().unwrap();
+        for cols in [1usize, 2, 5, 8, 15, 16, 31] {
             let indices: Vec<u8> = (0..cols).map(|i| (i * 5 % PALETTE) as u8).collect();
             let packed = pack_nibbles(&indices);
             let mut acc = vec![0.125f64; cols + 3]; // longer: tail untouched
@@ -309,7 +258,7 @@ mod tests {
             for (e, &s) in expect.iter_mut().zip(indices.iter()) {
                 *e += vdg[s as usize];
             }
-            gather_add(&vdg, &packed, cols, &mut acc);
+            gather_add_pairs(pair, &packed, cols, &mut acc);
             for (a, e) in acc.iter().zip(expect.iter()) {
                 assert_eq!(a.to_bits(), e.to_bits(), "cols {cols}");
             }

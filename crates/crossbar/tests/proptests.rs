@@ -10,6 +10,9 @@ use nebula_device::fault::CellFault;
 use nebula_device::units::Seconds;
 use proptest::prelude::*;
 
+/// Every kernel path a crossbar can be pinned to.
+const PATHS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Auto];
+
 fn small_weights() -> impl Strategy<Value = Vec<Vec<f64>>> {
     (1usize..16, 1usize..16).prop_flat_map(|(r, c)| {
         proptest::collection::vec(proptest::collection::vec(-1.0f64..1.0, c), r)
@@ -155,11 +158,11 @@ proptest! {
         prop_assert_eq!(d.events(), expected);
     }
 
-    /// Both inner-loop kernels produce bit-identical differential column
+    /// Both kernel paths produce bit-identical differential column
     /// currents to the uncached per-cell reference on arbitrary shapes —
     /// including single rows/columns and widths straddling the 8-lane
     /// boundary (remainder lanes) — and the scalar path's read energy is
-    /// bitwise too, while the vectorized path's per-row-sum energy stays
+    /// bitwise too, while the auto path's per-row-sum energy stays
     /// within 1e-12 relative.
     #[test]
     fn kernel_paths_match_reference_bitwise(
@@ -171,12 +174,7 @@ proptest! {
         reference.program(&w, 1.0).unwrap();
         let inputs = &drives[..rows];
         let expect = reference.dot_reference(inputs).unwrap();
-        for path in [
-            KernelPath::Vectorized,
-            KernelPath::Scalar,
-            KernelPath::Quantized,
-            KernelPath::Auto,
-        ] {
+        for path in PATHS {
             let mut x = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();
             x.program(&w, 1.0).unwrap();
             x.set_kernel_path(path);
@@ -187,16 +185,16 @@ proptest! {
             let (e_got, e_ref) = (x.accumulated_read_energy().0, reference.accumulated_read_energy().0);
             match path {
                 KernelPath::Scalar => prop_assert_eq!(e_got.to_bits(), e_ref.to_bits()),
-                // Per-row-sum energy formulation on all three (Auto
-                // resolves dense GEMV drives to the vectorized layout).
-                KernelPath::Vectorized | KernelPath::Quantized | KernelPath::Auto => prop_assert!(
-                    (e_got - e_ref).abs() <= 1e-12 * e_ref.abs(),
-                    "energy {} vs {}", e_got, e_ref
-                ),
-            }
-            if path == KernelPath::Quantized {
-                // A clean (fault-free) program always packs: ≤ 16 grid values.
-                prop_assert_eq!(x.quantized_is_packed(), Some(true));
+                // Per-row-sum energy formulation (Auto resolves dense
+                // GEMV drives to the f64 lane layout).
+                KernelPath::Auto => {
+                    prop_assert!(
+                        (e_got - e_ref).abs() <= 1e-12 * e_ref.abs(),
+                        "energy {} vs {}", e_got, e_ref
+                    );
+                    // A clean (fault-free) program always packs: ≤ 16 grid values.
+                    prop_assert_eq!(x.quantized_is_packed(), Some(true));
+                }
             }
         }
     }
@@ -212,12 +210,7 @@ proptest! {
         let rows = w.len();
         let active: Vec<usize> = (0..rows).filter(|&r| mask[r] == 1).collect();
         let dense: Vec<f64> = (0..rows).map(|r| f64::from(mask[r])).collect();
-        for path in [
-            KernelPath::Vectorized,
-            KernelPath::Scalar,
-            KernelPath::Quantized,
-            KernelPath::Auto,
-        ] {
+        for path in PATHS {
             let mut a = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Snn)).unwrap();
             a.program(&w, 1.0).unwrap();
             a.set_kernel_path(path);
@@ -257,13 +250,7 @@ proptest! {
         };
         let inputs = &drives[..rows];
         let mut expect = None;
-        for path in [
-            None,
-            Some(KernelPath::Vectorized),
-            Some(KernelPath::Scalar),
-            Some(KernelPath::Quantized),
-            Some(KernelPath::Auto),
-        ] {
+        for path in std::iter::once(None).chain(PATHS.map(Some)) {
             let mut x = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();
             x.program(&w, 1.0).unwrap();
             x.set_cell_fault(fault_row % rows, fault_col % cols, fault);

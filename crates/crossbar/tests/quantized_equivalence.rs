@@ -1,21 +1,20 @@
-//! Differential equivalence harness for the bit-packed 4-bit kernel tier.
+//! Differential equivalence harness for the bit-packed 4-bit layout.
 //!
-//! Drives [`KernelPath::Scalar`], [`KernelPath::Vectorized`] and
-//! [`KernelPath::Quantized`] through *identical* programs — including
-//! fault maps, kill switches, retention aging and sparse spike inputs —
-//! and asserts the documented contracts:
+//! Drives [`KernelPath::Scalar`] and [`KernelPath::Auto`] through
+//! *identical* programs — including fault maps, kill switches, retention
+//! aging and sparse spike inputs — and asserts the documented contracts:
 //!
 //! - **Outputs** (differential column currents) are **bitwise identical**
-//!   across all three paths, on dense *and* spike inputs. The quantized
-//!   LUT-gather performs the same multiply-then-add on the same operands
-//!   in the same per-column row-ascending order as the scalar loop, so
-//!   no tolerance is needed (stronger than the ≤ 1e-9 the issue allows).
+//!   across both paths, on dense *and* spike inputs. Auto's packed
+//!   spike gather adds exactly the product the scalar loop computes, on
+//!   the same operands, in the same per-column row-ascending order, so
+//!   no tolerance is needed.
 //! - **Energy** accrued over a long dot chain: Scalar is bitwise equal to
-//!   the uncached reference; Vectorized and Quantized share the
-//!   per-row-sum formulation (bitwise equal to *each other*) and track
-//!   the scalar chain to ≤ 1e-9 relative error accumulated.
+//!   the uncached reference; Auto uses the per-row-sum formulation — the
+//!   same bits whether a drive takes the f64 lane or the packed layout —
+//!   and tracks the scalar chain to ≤ 1e-9 relative error accumulated.
 //! - Arrays whose fault-resolved conductances exceed 16 distinct values
-//!   (per-cell TMR factors) spill to the vectorized layout —
+//!   (per-cell TMR factors) spill to the f64 lane layout —
 //!   [`AtomicCrossbar::quantized_is_packed`] reports `Some(false)` — with
 //!   output bits unchanged.
 //!
@@ -85,11 +84,10 @@ proptest! {
         prop_assert_eq!(repacked, packed);
     }
 
-    /// Dense outputs: all three kernel paths produce bitwise-identical
-    /// column currents under arbitrary programs, fault maps, aging and
-    /// kill switches; energy over a multi-dot chain obeys the documented
-    /// split (scalar bitwise; vectorized ≡ quantized bitwise, both
-    /// ≤ 1e-9 accumulated relative to scalar).
+    /// Dense outputs: both kernel paths produce bitwise-identical column
+    /// currents under arbitrary programs, fault maps, aging and kill
+    /// switches; energy over a multi-dot chain obeys the documented split
+    /// (scalar bitwise; auto ≤ 1e-9 accumulated relative to scalar).
     #[test]
     fn dense_outputs_bitwise_energy_within_1e9(
         w in shapes(),
@@ -119,12 +117,11 @@ proptest! {
         };
         let mut reference = build(None);
         let mut scalar = build(Some(KernelPath::Scalar));
-        let mut vector = build(Some(KernelPath::Vectorized));
-        let mut quant = build(Some(KernelPath::Quantized));
+        let mut auto = build(Some(KernelPath::Auto));
         for d in 0..dots {
             let inputs = &drives[d * rows..(d + 1) * rows];
             let expect = reference.dot_reference(inputs).unwrap();
-            for (path, x) in [("scalar", &mut scalar), ("vectorized", &mut vector), ("quantized", &mut quant)] {
+            for (path, x) in [("scalar", &mut scalar), ("auto", &mut auto)] {
                 let got = x.dot(inputs).unwrap();
                 for (j, (g, e)) in got.iter().zip(&expect).enumerate() {
                     prop_assert_eq!(g.0.to_bits(), e.0.to_bits(), "{} dot {} col {}", path, d, j);
@@ -133,25 +130,20 @@ proptest! {
         }
         let e_ref = reference.accumulated_read_energy().0;
         let e_scalar = scalar.accumulated_read_energy().0;
-        let e_vec = vector.accumulated_read_energy().0;
-        let e_quant = quant.accumulated_read_energy().0;
+        let e_auto = auto.accumulated_read_energy().0;
         prop_assert_eq!(e_scalar.to_bits(), e_ref.to_bits(), "scalar energy must be bitwise");
-        prop_assert_eq!(
-            e_quant.to_bits(), e_vec.to_bits(),
-            "quantized and vectorized share the per-row-sum energy formulation"
-        );
         prop_assert!(
-            (e_quant - e_ref).abs() <= ENERGY_RTOL * e_ref.abs(),
-            "accumulated energy {} vs reference {}", e_quant, e_ref
+            (e_auto - e_ref).abs() <= ENERGY_RTOL * e_ref.abs(),
+            "accumulated energy {} vs reference {}", e_auto, e_ref
         );
     }
 
-    /// Spike outputs: the sparse entry point agrees bitwise across all
-    /// three paths and with the dense evaluation of the equivalent
-    /// binary drive, at every activity level from all-silent to
-    /// all-active; spike-path energy is bitwise across sparse/dense on
-    /// each path and per-row-sum-identical between vectorized and
-    /// quantized.
+    /// Spike outputs: the sparse entry point agrees bitwise across both
+    /// paths and with the dense evaluation of the equivalent binary
+    /// drive, at every activity level from all-silent to all-active.
+    /// Spike-path energy is bitwise across sparse/dense on each path —
+    /// on Auto that pits the packed layout's row sums against the f64
+    /// lane layout's — and within 1e-9 of scalar.
     #[test]
     fn spike_outputs_bitwise_across_paths(
         w in shapes(),
@@ -165,9 +157,8 @@ proptest! {
         let active: Vec<usize> = (0..rows).filter(|&r| mask[r] == 1).collect();
         let dense: Vec<f64> = (0..rows).map(|r| f64::from(mask[r])).collect();
         let mut expect: Option<Vec<_>> = None;
-        let mut spike_energy: Option<(KernelPath, f64)> = None;
-        let mut quant_vs_vec: Vec<(KernelPath, u64)> = Vec::new();
-        for path in [KernelPath::Scalar, KernelPath::Vectorized, KernelPath::Quantized] {
+        let mut energy = [0.0f64; 2];
+        for (slot, path) in [KernelPath::Scalar, KernelPath::Auto].into_iter().enumerate() {
             let mut a = paper_array(Mode::Snn, &w);
             if let Some(f) = fault_for(kind, factor) {
                 a.set_cell_fault(fault_row % rows, fault_col % cols, f);
@@ -193,30 +184,25 @@ proptest! {
                 b.accumulated_read_energy().0.to_bits(),
                 "sparse and dense energy must agree on {:?}", path
             );
-            match path {
-                KernelPath::Scalar => spike_energy = Some((path, e_sparse)),
-                _ => quant_vs_vec.push((path, e_sparse.to_bits())),
-            }
+            energy[slot] = e_sparse;
         }
-        let (_, e_scalar) = spike_energy.unwrap();
-        prop_assert_eq!(quant_vs_vec[0].1, quant_vs_vec[1].1, "vectorized vs quantized energy bits");
-        let e_row_sum = f64::from_bits(quant_vs_vec[0].1);
+        let [e_scalar, e_auto] = energy;
         prop_assert!(
-            (e_row_sum - e_scalar).abs() <= ENERGY_RTOL * e_scalar.abs(),
-            "spike energy {} vs scalar {}", e_row_sum, e_scalar
+            (e_auto - e_scalar).abs() <= ENERGY_RTOL * e_scalar.abs(),
+            "spike energy {} vs scalar {}", e_auto, e_scalar
         );
     }
 
     /// All-silent spike input draws no current and accrues no energy on
-    /// the quantized path (the gather loop never runs), and a single
+    /// the packed layout (the gather loop never runs), and a single
     /// active row reproduces the scalar bits.
     #[test]
-    fn quantized_silent_and_single_row_edges(
+    fn packed_silent_and_single_row_edges(
         w in shapes(),
         row_pick in 0usize..24,
     ) {
         let mut quant = paper_array(Mode::Snn, &w);
-        quant.set_kernel_path(KernelPath::Quantized);
+        quant.set_kernel_path(KernelPath::Auto);
         let out = quant.dot_sparse(&[]).unwrap();
         prop_assert!(out.iter().all(|c| c.0 == 0.0), "silent input must output zeros");
         prop_assert_eq!(
@@ -234,9 +220,9 @@ proptest! {
     }
 
     /// Forcing more than 16 distinct fault-resolved conductances (unique
-    /// per-cell TMR factors) makes the quantized layout spill to the
-    /// vectorized one — reported via `quantized_is_packed` — without
-    /// changing a single output bit.
+    /// per-cell TMR factors) makes the packed layout spill to the f64
+    /// lane one — reported via `quantized_is_packed` — without changing
+    /// a single output bit on dense or spike drives.
     #[test]
     fn tmr_fault_spill_keeps_outputs_bitwise(
         drives in proptest::collection::vec(0.0f64..1.0, 20),
@@ -253,7 +239,7 @@ proptest! {
         }
         let mut scalar = quant.clone();
         scalar.set_kernel_path(KernelPath::Scalar);
-        quant.set_kernel_path(KernelPath::Quantized);
+        quant.set_kernel_path(KernelPath::Auto);
         let yq = quant.dot(&drives).unwrap();
         let ys = scalar.dot(&drives).unwrap();
         prop_assert_eq!(
@@ -261,31 +247,38 @@ proptest! {
             "20 distinct TMR factors must overflow the 16-entry palette"
         );
         for (j, (q, s)) in yq.iter().zip(&ys).enumerate() {
-            prop_assert_eq!(q.0.to_bits(), s.0.to_bits(), "spilled col {}", j);
+            prop_assert_eq!(q.0.to_bits(), s.0.to_bits(), "spilled dense col {}", j);
+        }
+        let active: Vec<usize> = (0..20).filter(|&r| drives[r] > 0.5).collect();
+        let yq = quant.dot_sparse(&active).unwrap();
+        let ys = scalar.dot_sparse(&active).unwrap();
+        for (j, (q, s)) in yq.iter().zip(&ys).enumerate() {
+            prop_assert_eq!(q.0.to_bits(), s.0.to_bits(), "spilled spike col {}", j);
         }
     }
 
     /// Clean programs always pack (≤ 16 on-grid values) and invalidation
-    /// through the dirty-tracking seam rebuilds the palette after any
-    /// mutation: reprogram, fault injection, aging and revive all give
-    /// the same bits as a fresh array in the same state.
+    /// through the dirty-tracking seam rebuilds the palette after a
+    /// reprogram: spikes give the same bits as a fresh array in the same
+    /// state.
     #[test]
     fn mutation_invalidates_and_rebuilds_the_palette(
         w in shapes(),
         w2 in shapes(),
-        drives in proptest::collection::vec(0.0f64..1.0, 24),
+        mask in proptest::collection::vec(0u8..2, 24),
     ) {
-        let mut x = paper_array(Mode::Ann, &w);
-        x.set_kernel_path(KernelPath::Quantized);
-        x.dot(&drives[..w.len()]).unwrap(); // builds the packed layout
+        let spikes = |rows: usize| (0..rows).filter(|&r| mask[r] == 1).collect::<Vec<_>>();
+        let mut x = paper_array(Mode::Snn, &w);
+        x.set_kernel_path(KernelPath::Auto);
+        x.dot_sparse(&spikes(w.len())).unwrap(); // builds the packed layout
         prop_assert_eq!(x.quantized_is_packed(), Some(true));
         // Mutate through the same seam every other layout uses.
         x.program(&w2, 1.0).unwrap();
-        let inputs = &drives[..w2.len()];
-        let got = x.dot(inputs).unwrap();
-        let mut fresh = paper_array(Mode::Ann, &w2);
-        fresh.set_kernel_path(KernelPath::Quantized);
-        let expect = fresh.dot(inputs).unwrap();
+        let active = spikes(w2.len());
+        let got = x.dot_sparse(&active).unwrap();
+        let mut fresh = paper_array(Mode::Snn, &w2);
+        fresh.set_kernel_path(KernelPath::Scalar);
+        let expect = fresh.dot_sparse(&active).unwrap();
         for (j, (g, e)) in got.iter().zip(&expect).enumerate() {
             prop_assert_eq!(g.0.to_bits(), e.0.to_bits(), "post-reprogram col {}", j);
         }
