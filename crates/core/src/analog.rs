@@ -276,17 +276,14 @@ impl ProgrammedMatrix {
             });
         let per_item: Vec<ItemResult> = per_block.into_iter().flatten().collect();
         // Sequential accrual in ascending item order per atomic crossbar.
-        let mut item_currents: Vec<&[f64]> = Vec::with_capacity(per_item.len());
         let mut chunk_off = 0usize;
         for tile in self.tiles.iter_mut().flatten() {
             let chunks = tile.chunk_count();
-            item_currents.clear();
-            item_currents.extend(
+            tile.accrue_batch(
                 per_item
                     .iter()
                     .map(|(_, flat)| &flat[chunk_off..chunk_off + chunks]),
             );
-            tile.accrue_batch(&item_currents);
             chunk_off += chunks;
         }
         Ok(per_item.into_iter().map(|(out_row, _)| out_row).collect())

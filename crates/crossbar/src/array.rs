@@ -148,6 +148,142 @@ struct QuantPacked {
     row_sum: Vec<f64>,
 }
 
+/// One atomic crossbar's binary-spike row kernel, resolved once from its
+/// prepared cache, so a caller adding many rows looks the cache and its
+/// layout up once per array rather than once per row. It is the only
+/// definition of the per-row spike operation:
+/// [`AtomicCrossbar::dot_sparse`] and the
+/// super-tile spike paths run through it, and event-driven executors
+/// drive it directly (see [`SuperTile::spike_row_kernels`]).
+///
+/// [`add_row`](Self::add_row) adds one spiking row's differential
+/// currents into `diff` and its drawn current into `total`. Calling it
+/// on a fixed `(diff, total)` pair with ascending rows from zeroed
+/// accumulators reproduces a dense binary-drive evaluation bit for bit
+/// (energy per [`KernelPath`]'s formulation), whatever other pairs the
+/// calls are interleaved with.
+///
+/// [`SuperTile::spike_row_kernels`]: crate::tile::SuperTile::spike_row_kernels
+#[derive(Debug, Clone, Copy)]
+pub struct SpikeRowKernel<'a>(RowLayout<'a>);
+
+/// The layouts a [`SpikeRowKernel`] resolves to.
+#[derive(Debug, Clone, Copy)]
+enum RowLayout<'a> {
+    /// Power-gated (or empty) array: adds nothing, draws nothing.
+    Dead,
+    /// [`KernelPath::Scalar`]: the per-cell `g − g_mid` subtraction and
+    /// one serial total-current chain, the bitwise energy reference.
+    Scalar {
+        eff: &'a [f64],
+        cols: usize,
+        v: f64,
+        g_mid: f64,
+    },
+    /// [`KernelPath::Auto`] on a packed array: byte-pair LUT gather plus
+    /// one `v · row_sum` energy term per row.
+    Packed {
+        pair: &'a [[f64; 2]; 256],
+        packed: &'a [u8],
+        stride: usize,
+        row_sum: &'a [f64],
+        cols: usize,
+        v: f64,
+    },
+    /// [`KernelPath::Auto`] on a spilled array: f64 lane axpy plus one
+    /// `v · row_sum` energy term per row.
+    Lanes {
+        dg: &'a [f64],
+        padded_cols: usize,
+        row_sum: &'a [f64],
+        v: f64,
+    },
+}
+
+impl SpikeRowKernel<'_> {
+    /// Adds programmed row `r` driven at full read voltage: its
+    /// differential column currents into `diff[..cols]` and the current
+    /// it draws into `total`. `diff` must hold at least the array's
+    /// lane-padded column count (the lane kernel writes zeros into the
+    /// padding).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r` is not a programmed row or `diff` is too short.
+    #[inline]
+    pub fn add_row(&self, r: usize, diff: &mut [f64], total: &mut f64) {
+        self.add_row_at(r, [0], diff, 0, std::slice::from_mut(total), 0);
+    }
+
+    /// [`add_row`](Self::add_row) into several accumulator pairs at
+    /// once: for each `i` of `at`, into `diff[i·diff_stride..]` and
+    /// `totals[i·total_stride]`. The layout dispatch and row lookup run
+    /// once per call instead of once per pair — an event scatter adds
+    /// one row to every patch a line's spikes reach.
+    ///
+    /// # Panics
+    ///
+    /// As [`add_row`](Self::add_row), for any addressed pair.
+    #[inline]
+    pub fn add_row_at(
+        &self,
+        r: usize,
+        at: impl IntoIterator<Item = usize>,
+        diff: &mut [f64],
+        diff_stride: usize,
+        totals: &mut [f64],
+        total_stride: usize,
+    ) {
+        match self.0 {
+            RowLayout::Dead => {}
+            RowLayout::Scalar {
+                eff,
+                cols,
+                v,
+                g_mid,
+            } => {
+                let row = &eff[r * cols..(r + 1) * cols];
+                for i in at {
+                    let total = &mut totals[i * total_stride];
+                    for (d, &g) in diff[i * diff_stride..][..cols].iter_mut().zip(row) {
+                        *d += v * (g - g_mid);
+                        *total += v * g;
+                    }
+                }
+            }
+            // Binary spike drive: v is exactly v_read, so the
+            // prepare-time byte-pair LUT already holds every product —
+            // one pair load and two adds per packed byte.
+            RowLayout::Packed {
+                pair,
+                packed,
+                stride,
+                row_sum,
+                cols,
+                v,
+            } => {
+                let (bytes, current) = (&packed[r * stride..(r + 1) * stride], v * row_sum[r]);
+                for i in at {
+                    totals[i * total_stride] += current;
+                    kernel::gather_add_pairs(pair, bytes, cols, &mut diff[i * diff_stride..]);
+                }
+            }
+            RowLayout::Lanes {
+                dg,
+                padded_cols,
+                row_sum,
+                v,
+            } => {
+                let (row, current) = (&dg[r * padded_cols..(r + 1) * padded_cols], v * row_sum[r]);
+                for i in at {
+                    totals[i * total_stride] += current;
+                    kernel::axpy(v, row, &mut diff[i * diff_stride..]);
+                }
+            }
+        }
+    }
+}
+
 impl AtomicCrossbar {
     /// Creates an unprogrammed crossbar (all cells at mid conductance).
     ///
@@ -850,7 +986,8 @@ impl AtomicCrossbar {
     }
 
     /// `&self` core of [`eval_cached_sparse`](Self::eval_cached_sparse):
-    /// see [`eval_dense_prepared`](Self::eval_dense_prepared) for the
+    /// one [`SpikeRowKernel::add_row`] per active row, in list order.
+    /// See [`eval_dense_prepared`](Self::eval_dense_prepared) for the
     /// prepare/accrue contract.
     ///
     /// # Panics
@@ -863,55 +1000,59 @@ impl AtomicCrossbar {
         base: usize,
         diff: &mut [f64],
     ) -> f64 {
+        let row_kernel = self.spike_row_kernel();
+        let mut total_current = 0.0f64;
+        for &r in active_rows {
+            row_kernel.add_row(r - base, diff, &mut total_current);
+        }
+        total_current
+    }
+
+    /// Resolves the binary-spike row kernel of the current kernel path
+    /// over the prepared cache (see [`SpikeRowKernel`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the cache is dirty (no [`prepare`](Self::prepare)
+    /// since the last state mutation).
+    pub(crate) fn spike_row_kernel(&self) -> SpikeRowKernel<'_> {
         if self.dead {
-            return 0.0;
+            return SpikeRowKernel(RowLayout::Dead);
         }
         let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
         let v = self.config.mode.read_voltage().0;
-        let mut total_current = 0.0f64;
-        match self.kernel {
-            KernelPath::Scalar => {
-                let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
-                let g_mid = self.g_mid();
-                let cols = self.cols_used;
-                for &r in active_rows {
-                    let r = r - base;
-                    let row = &eff[r * cols..(r + 1) * cols];
-                    for (j, &g) in row.iter().enumerate() {
-                        diff[j] += v * (g - g_mid);
-                        total_current += v * g;
-                    }
-                }
-            }
+        let cols = self.cols_used;
+        SpikeRowKernel(match self.kernel {
+            KernelPath::Scalar => RowLayout::Scalar {
+                eff: cache.scalar.as_ref().expect(PREPARE_MSG),
+                cols,
+                v,
+                g_mid: self.g_mid(),
+            },
             KernelPath::Auto => match cache.quant.as_ref().expect(PREPARE_MSG) {
-                QuantLayout::Packed(q) => {
-                    // Binary spike drive: v is exactly v_read, so the
-                    // prepare-time byte-pair LUT already holds every
-                    // product — the dot degenerates to one pair load and
-                    // two adds per packed byte, no multiplies or nibble
-                    // arithmetic in the loop.
-                    if !active_rows.is_empty() {
-                        let cols = self.cols_used;
-                        let pair: &[[f64; 2]; 256] = q.pair_spike.as_slice().try_into().unwrap();
-                        for &r in active_rows {
-                            let r = r - base;
-                            total_current += v * q.row_sum[r];
-                            kernel::gather_add_pairs(pair, &q.packed[r * q.stride..], cols, diff);
-                        }
-                    }
-                }
+                QuantLayout::Packed(q) => match q.pair_spike.as_slice().try_into() {
+                    Ok(pair) => RowLayout::Packed {
+                        pair,
+                        packed: &q.packed,
+                        stride: q.stride,
+                        row_sum: &q.row_sum,
+                        cols,
+                        v,
+                    },
+                    // No programmed cells, hence no row to add.
+                    Err(_) => RowLayout::Dead,
+                },
                 QuantLayout::Spill => {
                     let vl = cache.vector.as_ref().expect(PREPARE_MSG);
-                    let pc = vl.padded_cols;
-                    for &r in active_rows {
-                        let r = r - base;
-                        total_current += v * vl.row_sum[r];
-                        kernel::axpy(v, &vl.dg[r * pc..(r + 1) * pc], diff);
+                    RowLayout::Lanes {
+                        dg: &vl.dg,
+                        padded_cols: vl.padded_cols,
+                        row_sum: &vl.row_sum,
+                        v,
                     }
                 }
             },
-        }
-        total_current
+        })
     }
 
     fn validate_active_rows(&self, active_rows: &[usize]) -> Result<(), CrossbarError> {

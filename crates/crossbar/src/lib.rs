@@ -54,7 +54,7 @@ pub mod kernel;
 pub mod nu;
 pub mod tile;
 
-pub use array::AtomicCrossbar;
+pub use array::{AtomicCrossbar, SpikeRowKernel};
 pub use config::{CrossbarConfig, Mode};
 pub use converters::{Adc, MultiLevelDac, SpikeDriver};
 pub use error::CrossbarError;

@@ -11,7 +11,7 @@
 //!   kernels up to `R_f ≤ 16M` without a single analog-to-digital
 //!   conversion.
 
-use crate::array::AtomicCrossbar;
+use crate::array::{AtomicCrossbar, SpikeRowKernel};
 use crate::config::CrossbarConfig;
 use crate::error::CrossbarError;
 use crate::kernel::{self, KernelPath};
@@ -347,7 +347,7 @@ impl SuperTile {
     /// Rebuilds every AC's effective-conductance cache if dirty, so the
     /// `&self` split-phase evaluators
     /// ([`eval_dense_prepared`](Self::eval_dense_prepared),
-    /// [`eval_sparse_prepared`](Self::eval_sparse_prepared)) can run from
+    /// [`spike_row_kernels`](Self::spike_row_kernels)) can run from
     /// parallel workers that share the tile immutably.
     pub fn prepare(&mut self) {
         for ac in &mut self.acs {
@@ -434,55 +434,27 @@ impl SuperTile {
         }
     }
 
-    /// Spike-sparse twin of
-    /// [`eval_dense_prepared`](Self::eval_dense_prepared): `active_rows`
-    /// is a strictly ascending list of spiking rows in `0..rf` (the
-    /// caller is trusted — indices are split per AC by binary search and
-    /// evaluated unchecked).
+    /// The binary-spike row kernels of the ACs the current programming
+    /// occupies, in chunk order ([`chunk_count`](Self::chunk_count)
+    /// entries): super-tile row `r` is row `r % m` of kernel `r / m`.
+    /// Event-driven callers add spiking rows straight into per-AC
+    /// accumulators with these, then merge the ACs in ascending order
+    /// exactly as [`dot_batch_sparse`](Self::dot_batch_sparse) does.
     ///
     /// # Panics
     ///
-    /// Panics when a buffer is too short or [`prepare`](Self::prepare)
-    /// has not run since the last state mutation; out-of-range indices
-    /// panic on cache indexing.
-    pub fn eval_sparse_prepared(
-        &self,
-        active_rows: &[usize],
-        totals: &mut [Amps],
-        currents: &mut [f64],
-        diff: &mut [f64],
-    ) {
-        let totals = &mut totals[..self.kernels];
-        totals.fill(Amps::ZERO);
-        for (chunk_idx, current) in currents.iter_mut().enumerate().take(self.chunk_count()) {
-            let start = chunk_idx * self.m;
-            let end = (start + self.m).min(self.rf);
-            let lo = active_rows.partition_point(|&r| r < start);
-            let hi = active_rows.partition_point(|&r| r < end);
-            if lo == hi {
-                // No spikes hit this AC: its differential contribution is
-                // exactly zero and it draws no current, so the scratch
-                // zeroing, evaluation and merge can be skipped outright.
-                // Bit-identical: merging zeros only performs `x + 0.0`
-                // adds, and no accumulated value here is ever `-0.0`
-                // (partial currents are sums of `+0.0` and non-zero
-                // products).
-                *current = 0.0;
-                continue;
-            }
-            let diff = &mut diff[..self.scratch_cols()];
-            diff.fill(0.0);
-            *current = self.acs[chunk_idx].eval_sparse_prepared(&active_rows[lo..hi], start, diff);
-            for (t, &d) in totals.iter_mut().zip(diff[..self.kernels].iter()) {
-                *t += Amps(d);
-            }
-        }
+    /// Panics when [`prepare`](Self::prepare) has not run since the last
+    /// state mutation.
+    pub fn spike_row_kernels(&self) -> impl Iterator<Item = SpikeRowKernel<'_>> + '_ {
+        self.acs[..self.chunk_count()]
+            .iter()
+            .map(AtomicCrossbar::spike_row_kernel)
     }
 
-    /// Accrual half of the split-phase evaluators: `per_item[i]` is the
-    /// per-AC total-current vector the `i`-th item's
-    /// `eval_*_prepared` call returned. Each AC accrues its items in
-    /// ascending item order — the exact floating-point sequence the
+    /// Accrual half of the split-phase evaluators: the `i`-th item of
+    /// `per_item` is the per-AC total-current vector (one entry per
+    /// chunk) the `i`-th evaluated item drew. Each AC accrues its items
+    /// in ascending item order — the exact floating-point sequence the
     /// sequential batch path produces.
     ///
     /// Items that drew no current from an AC (silent spike items, or
@@ -492,10 +464,15 @@ impl SuperTile {
     /// only when no row fired; the energy counter is never `-0.0`), so
     /// skipping the add leaves the energy bits unchanged while the
     /// accrual loop scales with *activity* rather than batch size.
-    pub fn accrue_batch(&mut self, per_item: &[&[f64]]) {
+    pub fn accrue_batch<'a, I>(&mut self, per_item: I)
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+        I::IntoIter: Clone,
+    {
         let chunks = self.rf.div_ceil(self.m.max(1));
+        let per_item = per_item.into_iter();
         for (chunk_idx, ac) in self.acs.iter_mut().take(chunks).enumerate() {
-            for item in per_item {
+            for item in per_item.clone() {
                 let current = item[chunk_idx];
                 if current == 0.0 {
                     continue;
@@ -828,6 +805,80 @@ mod tests {
             (e_auto - e_scalar).abs() <= 1e-12 * e_scalar.abs(),
             "auto energy {e_auto} vs scalar {e_scalar}"
         );
+    }
+
+    #[test]
+    fn spike_row_kernels_reproduce_the_sparse_batch_on_every_layout() {
+        use nebula_device::fault::{FaultClass, FaultModel};
+        let mut cfg = CrossbarConfig::paper_default(Mode::Snn);
+        cfg.m = 8;
+        let rf = 20; // rows 0..8, 8..16, 16..20 on three ACs
+        let weights: Vec<Vec<f64>> = (0..rf)
+            .map(|r| vec![(r % 5) as f64 / 4.0 - 0.5, (r % 3) as f64 / 2.0, 0.25])
+            .collect();
+        let items: Vec<Vec<usize>> = vec![vec![0, 3, 9, 15, 19], vec![], vec![8, 9]];
+        let cases = [
+            ("scalar", KernelPath::Scalar, false, false),
+            ("packed", KernelPath::Auto, false, false),
+            ("spilled", KernelPath::Auto, true, false),
+            ("killed", KernelPath::Auto, false, true),
+            ("killed scalar", KernelPath::Scalar, false, true),
+        ];
+        for (label, path, tmr, kill) in cases {
+            let mut st = SuperTile::new(cfg.clone()).unwrap();
+            st.program(&weights, 1.0).unwrap();
+            if tmr {
+                let model = FaultModel::single(FaultClass::TmrDegradation, 0.5);
+                st.inject_faults(&model, &mut rand::rngs::StdRng::seed_from_u64(3));
+            }
+            if kill {
+                st.kill_ac(1);
+            }
+            st.set_kernel_path(path);
+            let mut reference = st.clone();
+            let want = reference.dot_batch_sparse(&items).unwrap();
+            st.prepare();
+            if tmr {
+                assert_eq!(st.acs[0].quantized_is_packed(), Some(false), "{label}");
+            }
+            let kernels: Vec<SpikeRowKernel<'_>> = st.spike_row_kernels().collect();
+            let (width, k) = (st.scratch_cols(), st.kernels());
+            let mut currents = Vec::new();
+            for (i, rows) in items.iter().enumerate() {
+                // Two accumulator sets fed at once must both match.
+                let mut diff = vec![0.0f64; 2 * kernels.len() * width];
+                let mut cur = vec![0.0f64; 2 * kernels.len()];
+                for &r in rows {
+                    let a = r / 8;
+                    kernels[a].add_row_at(
+                        r % 8,
+                        [0, 1],
+                        &mut diff[a * width..],
+                        kernels.len() * width,
+                        &mut cur[a..],
+                        kernels.len(),
+                    );
+                }
+                for set in 0..2 {
+                    let mut totals = vec![Amps::ZERO; k];
+                    for a in 0..kernels.len() {
+                        let d = &diff[(set * kernels.len() + a) * width..][..k];
+                        for (t, &v) in totals.iter_mut().zip(d) {
+                            *t += Amps(v);
+                        }
+                    }
+                    assert_eq!(totals, want[i], "{label} item {i} set {set}");
+                }
+                currents.push(cur[..kernels.len()].to_vec());
+            }
+            drop(kernels);
+            st.accrue_batch(currents.iter().map(Vec::as_slice));
+            assert_eq!(
+                st.accumulated_read_energy(),
+                reference.accumulated_read_energy(),
+                "{label} energy"
+            );
+        }
     }
 
     #[test]

@@ -144,6 +144,15 @@ impl IfPopulation {
     /// Advances one timestep: integrates `input` into the membrane and
     /// returns the binary spike tensor.
     pub fn step(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        let fast = self.leak == 1.0 && self.refractory == 0 && self.homeostasis.is_none();
+        self.step_with(input, fast)
+    }
+
+    /// [`step`](Self::step) with the loop chosen by the caller: `fast`
+    /// takes [`integrate_fire`], which is only valid for the paper's
+    /// neuron (no leak, no refractory period, no homeostasis) and
+    /// performs the general loop's float operations in the same order.
+    fn step_with(&mut self, input: &Tensor, fast: bool) -> Result<Tensor, NnError> {
         let needs_init = !matches!(&self.membrane, Some(m) if m.shape() == input.shape());
         if needs_init {
             self.membrane = Some(Tensor::zeros(input.shape()));
@@ -152,10 +161,15 @@ impl IfPopulation {
             self.neuron_count = input.len();
         }
         let membrane = self.membrane.as_mut().expect("initialized above");
+        let mut spikes = Tensor::zeros(input.shape());
+        if fast {
+            let (m, s) = (membrane.data_mut(), spikes.data_mut());
+            self.total_spikes += integrate_fire(m, s, input.data(), &self.thresholds, self.reset);
+            return Ok(spikes);
+        }
         if self.leak < 1.0 {
             membrane.map_inplace(|v| v * self.leak);
         }
-        let mut spikes = Tensor::zeros(input.shape());
         let mut fired = 0u64;
         {
             let (m, s) = (membrane.data_mut(), spikes.data_mut());
@@ -209,6 +223,34 @@ impl IfPopulation {
     /// Number of neurons in the population (0 before first use).
     pub fn neuron_count(&self) -> usize {
         self.neuron_count
+    }
+}
+
+/// The paper's IF neuron over a whole population: `m += x`, fire where
+/// `m ≥ th`, then reset by `reset` — the general loop's operations in
+/// its order, as selects instead of branches so the loop vectorizes.
+/// Writes every spike of `s` and returns the spike count.
+fn integrate_fire(m: &mut [f32], s: &mut [f32], x: &[f32], th: &[f32], reset: ResetMode) -> u64 {
+    fn run(
+        m: &mut [f32],
+        s: &mut [f32],
+        x: &[f32],
+        th: &[f32],
+        fire: impl Fn(f32, f32) -> f32,
+    ) -> u64 {
+        let mut fired = 0u64;
+        for (((m, s), &x), &th) in m.iter_mut().zip(s.iter_mut()).zip(x).zip(th) {
+            let v = *m + x;
+            let spiked = v >= th;
+            fired += u64::from(spiked);
+            *s = if spiked { 1.0 } else { 0.0 };
+            *m = if spiked { fire(v, th) } else { v };
+        }
+        fired
+    }
+    match reset {
+        ResetMode::Subtract => run(m, s, x, th, |v, th| v - th),
+        ResetMode::Zero => run(m, s, x, th, |_, _| 0.0),
     }
 }
 
@@ -444,6 +486,55 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(17)
+    }
+
+    /// Inputs that land the membrane exactly on the tested thresholds
+    /// (quarter steps), just above or below them, or are signed zeros.
+    fn if_inputs() -> proptest::sample::Select<f32> {
+        proptest::sample::select(vec![
+            0.0f32,
+            -0.0,
+            0.25,
+            0.5,
+            0.75,
+            1.0,
+            -0.25,
+            -0.75,
+            1.5,
+            f32::MIN_POSITIVE,
+            0.5 + f32::EPSILON,
+            1.0 - f32::EPSILON / 2.0,
+        ])
+    }
+
+    proptest::proptest! {
+        /// The paper-neuron fast loop against the general loop: spikes,
+        /// membrane bits and spike counts agree under both reset modes,
+        /// through exact-threshold ties and `-0.0` inputs.
+        #[test]
+        fn fast_if_loop_matches_general_loop_bitwise(
+            zero_reset in 0u8..2,
+            th in proptest::sample::select(vec![0.5f32, 0.75, 1.0]),
+            steps in proptest::collection::vec(proptest::collection::vec(if_inputs(), 12), 1..10),
+        ) {
+            let reset = if zero_reset == 1 { ResetMode::Zero } else { ResetMode::Subtract };
+            let mut fast = IfPopulation::new(th, reset);
+            let mut general = fast.clone();
+            for (t, step) in steps.into_iter().enumerate() {
+                let x = Tensor::from_vec(step, &[3, 4]).unwrap();
+                let a = fast.step(&x).unwrap();
+                let b = general.step_with(&x, false).unwrap();
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&a), bits(&b), "spikes at step {}", t);
+                proptest::prop_assert_eq!(
+                    bits(fast.membrane.as_ref().unwrap()),
+                    bits(general.membrane.as_ref().unwrap()),
+                    "membrane at step {}",
+                    t
+                );
+            }
+            proptest::prop_assert_eq!(fast.total_spikes(), general.total_spikes());
+        }
     }
 
     #[test]
