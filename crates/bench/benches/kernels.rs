@@ -6,7 +6,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nebula_core::energy::EnergyModel;
 use nebula_core::engine::{evaluate_ann, evaluate_snn};
 use nebula_core::mapper::map_network;
+use nebula_crossbar::kernel::index_active;
 use nebula_crossbar::{AtomicCrossbar, CrossbarConfig, KernelPath, Mode, SuperTile};
+use nebula_device::units::Amps;
 use nebula_nn::layer::Layer;
 use nebula_nn::snn::{IfPopulation, ResetMode};
 use nebula_tensor::{conv2d, im2col, ConvGeometry, Tensor};
@@ -93,6 +95,42 @@ fn bench_kernel_paths(c: &mut Criterion) {
         xbar.set_kernel_path(path);
         c.bench_function(&format!("gemv_dense_128x128_{label}"), |b| {
             b.iter(|| xbar.dot(black_box(&inputs)).unwrap())
+        });
+    }
+
+    // One VGG conv patch as the ANN fast path evaluates it: a 144-row
+    // (16-channel 3×3) receptive field onto 16 kernels, 40% of the
+    // drives zero as after ReLU + quantization, split-phase on a
+    // prepared super-tile with the driven rows indexed once. Its own
+    // generator leaves the other benches' inputs as they were.
+    let mut patch_rng = ChaCha8Rng::seed_from_u64(5);
+    let mut st = SuperTile::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();
+    let kernel: Vec<Vec<f64>> = (0..144)
+        .map(|_| (0..16).map(|_| patch_rng.gen_range(-1.0..1.0)).collect())
+        .collect();
+    st.program(&kernel, 1.0).unwrap();
+    let drive: Vec<f64> = (0..144)
+        .map(|_| {
+            if patch_rng.gen_bool(0.4) {
+                0.0
+            } else {
+                patch_rng.gen_range(0.05..1.0)
+            }
+        })
+        .collect();
+    let mut active = vec![0u32; drive.len()];
+    let mut totals = vec![Amps::ZERO; st.kernels()];
+    let mut currents = vec![0.0f64; st.chunk_count()];
+    let mut diff = vec![0.0f64; st.scratch_cols()];
+    for (label, path) in paths {
+        st.set_kernel_path(path);
+        st.prepare();
+        c.bench_function(&format!("gemv_patch_144x16_zero40_{label}"), |b| {
+            b.iter(|| {
+                let k = index_active(black_box(&drive), &mut active);
+                st.eval_dense_prepared(&drive, &active[..k], &mut totals, &mut currents, &mut diff);
+                black_box(&totals);
+            })
         });
     }
 

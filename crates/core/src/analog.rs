@@ -6,10 +6,10 @@
 //! Where the [`engine`](crate::engine) module prices a workload
 //! analytically, this module computes with it: every dense/conv MAC goes
 //! through [`SuperTile::dot`] (DW-MTJ conductances, reference-column
-//! signed weights, 16-level quantization, optional read noise), im2col
-//! streaming plays the role of the input buffers and drivers, and one
-//! crossbar evaluation corresponds to one 110 ns wave of the Fig. 8
-//! pipeline.
+//! signed weights, 16-level quantization, optional read noise), patch
+//! gathers straight from the feature map (an implicit im2col) play the
+//! role of the input buffers and drivers, and one crossbar evaluation
+//! corresponds to one 110 ns wave of the Fig. 8 pipeline.
 //!
 //! Supported layers: `Dense`, `Conv2d`, `Relu`, `ActivationQuant`,
 //! `AvgPool`, `Flatten`. Biases are applied digitally (a real chip would
@@ -20,6 +20,7 @@
 use crate::components::{M, MAX_RF_IN_CORE};
 use nebula_crossbar::{kernel, CrossbarConfig, CrossbarError, KernelPath, Mode, SuperTile};
 use nebula_device::units::{Amps, Joules};
+use nebula_device::FaultModel;
 use nebula_nn::layer::Layer;
 use nebula_nn::{Network, NnError};
 use nebula_tensor::{avg_pool2d, im2col, ConvGeometry, Tensor, TensorError};
@@ -169,7 +170,7 @@ impl ProgrammedMatrix {
         for (seg, seg_rows) in self.segment_rows.clone().into_iter().enumerate() {
             let drive: Vec<f64> = x[offset..offset + seg_rows]
                 .iter()
-                .map(|&v| (v / self.x_scale).clamp(0.0, 1.0) as f64)
+                .map(|&v| f64::from(drive_level(v, self.x_scale)))
                 .collect();
             for (g, tile) in self.tiles[seg].iter_mut().enumerate() {
                 let currents = tile.dot_reference(&drive)?;
@@ -185,13 +186,14 @@ impl ProgrammedMatrix {
         Ok(out)
     }
 
-    /// Evaluates a whole batch of input rows through the split-phase
-    /// fast path: every tile's conductance caches are prepared once, the
-    /// persistent worker pool evaluates items concurrently against the
-    /// shared tiles (`&self` — [`SuperTile::eval_dense_prepared`]), and
-    /// read energy is then accrued sequentially in ascending item order
-    /// per atomic crossbar. Outputs are **bit-identical** to calling
-    /// [`dot_reference`](Self::dot_reference) on each row in turn — for
+    /// Evaluates a whole batch of items through the split-phase fast
+    /// path and returns their products `Wᵀx` item-major (`n × cols`):
+    /// every tile's conductance caches are prepared once, the persistent
+    /// worker pool evaluates items concurrently against the shared tiles
+    /// (`&self` — [`SuperTile::eval_dense_prepared`]), and read energy is
+    /// then accrued sequentially in ascending item order per atomic
+    /// crossbar. Outputs are **bit-identical** to calling
+    /// [`dot_reference`](Self::dot_reference) on each item in turn — for
     /// any worker count — because each item's floating-point work is
     /// per-item pure and the accrual order matches the sequential path.
     /// Energy counters are bit-identical too under
@@ -199,94 +201,92 @@ impl ProgrammedMatrix {
     /// re-associates the total-current sum per row and tracks the
     /// reference to a relative error ≤ 1e-12.
     ///
-    /// Input rows are supplied by an index accessor instead of a
-    /// materialized `&[&[f32]]`, so callers slicing a flat activation
-    /// buffer build no slice vector per call. The worker count is
-    /// explicit so the pipeline executor can force single-threaded
-    /// evaluation inside a pipeline stage (`workers == 1` never touches
-    /// the pool).
-    pub(crate) fn dot_batch_with<'d>(
+    /// `fill(i, drive)` writes item `i`'s bit-line drives (all `rf` of
+    /// them, already normalized — see [`drive_level`]) into a reused
+    /// buffer, so a dense stage copies its input row and a conv stage
+    /// gathers its patch straight from the feature map. Each item's
+    /// driven rows are indexed once per receptive-field segment and the
+    /// list is shared by every column group. Workers take contiguous
+    /// item blocks with per-block flat buffers; `workers == 1` never
+    /// touches the pool, which lets the pipeline executor keep a stage
+    /// on one thread.
+    pub(crate) fn dot_batch_with(
         &mut self,
         n: usize,
         workers: usize,
-        row: impl Fn(usize) -> &'d [f32] + Sync,
-    ) -> Result<Vec<Vec<f32>>, AnalogError> {
+        fill: impl Fn(usize, &mut [f64]) + Sync,
+    ) -> Vec<f32> {
         for tile in self.tiles.iter_mut().flatten() {
             tile.prepare();
         }
-        let x_scale = self.x_scale;
-        let cols = self.cols;
-        let rf = self.rf;
+        if n == 0 {
+            return Vec::new();
+        }
+        let (x_scale, cols, rf) = (self.x_scale, self.cols, self.rf);
         let segment_rows = &self.segment_rows;
         let tiles = &self.tiles;
-        // Per-AC total currents for one item live in a single flat
-        // buffer, sliced per tile in (segment, group) order.
+        // Per-AC total currents of one item, in (segment, group, chunk)
+        // order.
         let total_chunks: usize = tiles.iter().flatten().map(SuperTile::chunk_count).sum();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        // Workers take contiguous item blocks so scratch buffers are
-        // reused across a block's items; the per-item values don't depend
-        // on the partition, so results are identical for any worker
-        // count. Each item yields its output row and the total current
-        // drawn per AC (flattened in (segment, group, chunk) order).
         let blocks = workers.clamp(1, n);
-        type ItemResult = (Vec<f32>, Vec<f64>);
-        let per_block: Vec<Vec<ItemResult>> =
+        let per_block: Vec<(Vec<f32>, Vec<f64>)> =
             nebula_tensor::pool::par_map_indexed(blocks, workers, |b| {
+                let items = b * n / blocks..(b + 1) * n / blocks;
+                let mut outs = vec![0.0f32; items.len() * cols];
+                let mut currents = vec![0.0f64; items.len() * total_chunks];
                 let mut totals = vec![Amps::ZERO; M];
                 // Lane-padded so the f64 lane kernel can write its
                 // tail lanes (every tile's scratch_cols() is ≤ this).
                 let mut diff = vec![0.0f64; kernel::padded_len(M)];
-                let mut drive: Vec<f64> = Vec::new();
-                let mut block = Vec::with_capacity(n.div_ceil(blocks));
-                for i in b * n / blocks..(b + 1) * n / blocks {
-                    let x = row(i);
-                    debug_assert_eq!(x.len(), rf);
-                    let mut out_row = vec![0.0f32; cols];
-                    let mut flat = vec![0.0f64; total_chunks];
-                    let mut offset = 0usize;
+                let mut drive = vec![0.0f64; rf];
+                let mut active = vec![0u32; MAX_RF_IN_CORE.min(rf)];
+                let per_item = outs
+                    .chunks_exact_mut(cols)
+                    .zip(currents.chunks_exact_mut(total_chunks));
+                for (i, (out, item_currents)) in items.zip(per_item) {
+                    fill(i, &mut drive);
                     let mut chunk_off = 0usize;
-                    for (seg, &seg_rows) in segment_rows.iter().enumerate() {
-                        drive.clear();
-                        drive.extend(
-                            x[offset..offset + seg_rows]
-                                .iter()
-                                .map(|&v| (v / x_scale).clamp(0.0, 1.0) as f64),
-                        );
-                        for (g, tile) in tiles[seg].iter().enumerate() {
+                    let segments = drive.chunks(MAX_RF_IN_CORE).zip(segment_rows);
+                    for ((seg_drive, &seg_rows), groups) in segments.zip(tiles) {
+                        debug_assert_eq!(seg_drive.len(), seg_rows);
+                        let driven = kernel::index_active(seg_drive, &mut active);
+                        for (g, tile) in groups.iter().enumerate() {
                             let chunks = tile.chunk_count();
                             tile.eval_dense_prepared(
-                                &drive,
+                                seg_drive,
+                                &active[..driven],
                                 &mut totals,
-                                &mut flat[chunk_off..chunk_off + chunks],
+                                &mut item_currents[chunk_off..chunk_off + chunks],
                                 &mut diff,
                             );
                             let unit = tile.unit_current().0;
-                            for (c, i) in totals[..tile.kernels()].iter().enumerate() {
-                                out_row[g * M + c] += (i.0 / unit) as f32 * x_scale;
+                            for (c, t) in totals[..tile.kernels()].iter().enumerate() {
+                                out[g * M + c] += (t.0 / unit) as f32 * x_scale;
                             }
                             chunk_off += chunks;
                         }
-                        offset += seg_rows;
                     }
-                    block.push((out_row, flat));
                 }
-                block
+                (outs, currents)
             });
-        let per_item: Vec<ItemResult> = per_block.into_iter().flatten().collect();
         // Sequential accrual in ascending item order per atomic crossbar.
         let mut chunk_off = 0usize;
         for tile in self.tiles.iter_mut().flatten() {
             let chunks = tile.chunk_count();
             tile.accrue_batch(
-                per_item
+                per_block
                     .iter()
-                    .map(|(_, flat)| &flat[chunk_off..chunk_off + chunks]),
+                    .flat_map(|(_, currents)| currents.chunks_exact(total_chunks))
+                    .map(|item| &item[chunk_off..chunk_off + chunks]),
             );
             chunk_off += chunks;
         }
-        Ok(per_item.into_iter().map(|(out_row, _)| out_row).collect())
+        let mut outs = per_block.into_iter().map(|(outs, _)| outs);
+        let first = outs.next().unwrap_or_default();
+        outs.fold(first, |mut all, block| {
+            all.extend_from_slice(&block);
+            all
+        })
     }
 
     pub(crate) fn read_energy(&self) -> Joules {
@@ -330,6 +330,90 @@ impl ProgrammedMatrix {
     }
 }
 
+/// The bit-line drive level of activation `v` under input scale
+/// `x_scale`: `v / x_scale` clamped to the DAC range `[0, 1]`.
+fn drive_level(v: f32, x_scale: f32) -> f32 {
+    (v / x_scale).clamp(0.0, 1.0)
+}
+
+/// A conv stage's input as drive levels, read patch by patch: the
+/// implicit form of `im2col`.
+struct FeatureMap<'a> {
+    /// Drive level of every NCHW input element.
+    levels: &'a [f32],
+    chw: [usize; 3],
+    geom: ConvGeometry,
+    ohw: [usize; 2],
+    /// Offset of tap `(ch·kh + ky)·kw + kx` from its patch's top-left
+    /// input element, for patches clear of the padding.
+    taps: Vec<usize>,
+}
+
+impl<'a> FeatureMap<'a> {
+    fn new(levels: &'a [f32], chw: [usize; 3], geom: ConvGeometry, ohw: [usize; 2]) -> Self {
+        let [c, h, w] = chw;
+        let taps = (0..c * geom.kh)
+            .flat_map(|r| (0..geom.kw).map(move |kx| ((r / geom.kh) * h + r % geom.kh) * w + kx))
+            .collect();
+        Self {
+            levels,
+            chw,
+            geom,
+            ohw,
+            taps,
+        }
+    }
+
+    /// Writes patch `ri` (image-major, then output row, then column —
+    /// `im2col`'s row order) into `drive`, tap `(ch·kh + ky)·kw + kx`
+    /// at a time; taps in the zero padding drive `0.0`. Bit-identical
+    /// to row `ri` of `im2col` over the levels.
+    fn patch(&self, ri: usize, drive: &mut [f64]) {
+        let ([c, h, w], [oh, ow], g) = (self.chw, self.ohw, self.geom);
+        let (img, rem) = (ri / (oh * ow), ri % (oh * ow));
+        let (y0, x0) = ((rem / ow) * g.stride, (rem % ow) * g.stride);
+        let image = &self.levels[img * c * h * w..][..c * h * w];
+        let drive = &mut drive[..self.taps.len()];
+        // Clear of the padding: one offset table serves every tap.
+        if y0 >= g.pad && y0 + g.kh <= h + g.pad && x0 >= g.pad && x0 + g.kw <= w + g.pad {
+            let origin = &image[(y0 - g.pad) * w + x0 - g.pad..];
+            for (d, &t) in drive.iter_mut().zip(&self.taps) {
+                *d = f64::from(origin[t]);
+            }
+            return;
+        }
+        // Kernel columns kx_lo..kx_hi land inside the image: input
+        // column x0 + kx − pad ∈ [0, w).
+        let kx_lo = g.pad.saturating_sub(x0).min(g.kw);
+        let kx_hi = (w + g.pad).saturating_sub(x0).clamp(kx_lo, g.kw);
+        for (r, row) in drive.chunks_exact_mut(g.kw).enumerate() {
+            let (ch, ky) = (r / g.kh, r % g.kh);
+            match (y0 + ky).checked_sub(g.pad).filter(|&iy| iy < h) {
+                Some(iy) if kx_lo < kx_hi => {
+                    let line = &image[(ch * h + iy) * w..][..w];
+                    row[..kx_lo].fill(0.0);
+                    let from = &line[x0 + kx_lo - g.pad..][..kx_hi - kx_lo];
+                    for (d, &v) in row[kx_lo..kx_hi].iter_mut().zip(from) {
+                        *d = f64::from(v);
+                    }
+                    row[kx_hi..].fill(0.0);
+                }
+                _ => row.fill(0.0),
+            }
+        }
+    }
+}
+
+/// Prefixes a geometry error with the index of the stage it arose in.
+pub(crate) fn at_stage(stage: usize, e: AnalogError) -> AnalogError {
+    match e {
+        AnalogError::BadGeometry { reason } => AnalogError::BadGeometry {
+            reason: format!("stage {stage}: {reason}"),
+        },
+        e => e,
+    }
+}
+
 /// One compiled stage of an analog network.
 #[derive(Debug, Clone)]
 pub(crate) enum AnalogStage {
@@ -341,7 +425,6 @@ pub(crate) enum AnalogStage {
         matrix: ProgrammedMatrix,
         bias: Vec<f32>,
         geom: ConvGeometry,
-        out_channels: usize,
     },
     Relu,
     Quant {
@@ -362,6 +445,13 @@ impl AnalogStage {
             _ => None,
         }
     }
+
+    fn matrix_mut(&mut self) -> Option<&mut ProgrammedMatrix> {
+        match self {
+            AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => Some(matrix),
+            _ => None,
+        }
+    }
 }
 
 /// A network compiled onto crossbar hardware models.
@@ -371,6 +461,10 @@ impl AnalogStage {
 pub struct AnalogNetwork {
     pub(crate) stages: Vec<AnalogStage>,
     pub(crate) waves: u64,
+    /// Index of `stages[0]` in the network this one was cut from (0
+    /// unless it is a multi-chip unit), so geometry errors name the
+    /// whole network's stage.
+    pub(crate) first_stage: usize,
 }
 
 /// Compiles a (preferably 4-bit-quantized, BN-folded) network for analog
@@ -407,7 +501,6 @@ pub fn compile(net: &Network, config: &CrossbarConfig) -> Result<AnalogNetwork, 
                     matrix,
                     bias: c.bias.value.data().to_vec(),
                     geom: c.geom,
-                    out_channels: oc,
                 });
             }
             Layer::Relu(_) => stages.push(AnalogStage::Relu),
@@ -427,20 +520,27 @@ pub fn compile(net: &Network, config: &CrossbarConfig) -> Result<AnalogNetwork, 
             }
         }
     }
-    Ok(AnalogNetwork { stages, waves: 0 })
+    Ok(AnalogNetwork {
+        stages,
+        waves: 0,
+        first_stage: 0,
+    })
 }
 
 impl AnalogNetwork {
     /// Runs a batch through the crossbar models and returns the logits.
     ///
     /// All samples advance through each stage together: every weight
-    /// stage issues one [`SuperTile::dot_batch`] per tile instead of one
-    /// `dot` per sample. Results and energy counters are bit-identical
+    /// stage evaluates its whole batch of rows (conv patches gathered
+    /// straight from the feature map) against tiles prepared once.
+    /// Results, waves and scalar-path energy counters are bit-identical
     /// to [`forward_sequential`](Self::forward_sequential).
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures.
+    /// Returns [`AnalogError::BadGeometry`] prefixed `stage <i>:` when
+    /// the input does not fit stage `i` (wrong rank, feature count or
+    /// channel count); propagates circuit and tensor failures.
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
         self.forward_impl(inputs, false, nebula_tensor::pool::size())
     }
@@ -450,8 +550,13 @@ impl AnalogNetwork {
     /// (no pool dispatch at all) — the multi-chip pipeline executor runs
     /// each stage this way so stage-level concurrency comes from the
     /// pipeline, not from nested pool fan-out. Bit-identical to
-    /// [`forward`](Self::forward) for any worker count.
-    pub(crate) fn forward_with_workers(
+    /// [`forward`](Self::forward) for any worker count, which
+    /// worker-count-invariance tests check through this entry point.
+    ///
+    /// # Errors
+    ///
+    /// As [`forward`](Self::forward).
+    pub fn forward_with_workers(
         &mut self,
         inputs: &Tensor,
         workers: usize,
@@ -466,7 +571,7 @@ impl AnalogNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures.
+    /// As [`forward`](Self::forward).
     pub fn forward_sequential(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
         self.forward_impl(inputs, true, 1)
     }
@@ -481,94 +586,141 @@ impl AnalogNetwork {
         // Take stages out to satisfy the borrow checker during mutation.
         let mut stages = std::mem::take(&mut self.stages);
         let result = (|| -> Result<Tensor, AnalogError> {
-            for stage in stages.iter_mut() {
-                h = match stage {
-                    AnalogStage::Dense { matrix, bias } => {
-                        let n = h.shape()[0];
-                        let ys = if reference {
-                            let mut ys = Vec::with_capacity(n);
-                            for i in 0..n {
-                                let row = &h.data()[i * matrix.rf..(i + 1) * matrix.rf];
-                                ys.push(matrix.dot_reference(row)?);
-                            }
-                            ys
-                        } else {
-                            let rf = matrix.rf;
-                            let data = h.data();
-                            matrix.dot_batch_with(n, workers, |i| &data[i * rf..(i + 1) * rf])?
-                        };
-                        self.waves += n as u64;
-                        let mut out = Tensor::zeros(&[n, matrix.cols]);
-                        for (i, y) in ys.iter().enumerate() {
-                            let dst = &mut out.data_mut()[i * bias.len()..(i + 1) * bias.len()];
-                            for (d, (v, b)) in dst.iter_mut().zip(y.iter().zip(bias.iter())) {
-                                *d = v + b;
-                            }
-                        }
-                        out
-                    }
-                    AnalogStage::Conv {
-                        matrix,
-                        bias,
-                        geom,
-                        out_channels,
-                    } => {
-                        let (n, hh, ww) = (h.shape()[0], h.shape()[2], h.shape()[3]);
-                        let (oh, ow) = geom.out_hw(hh, ww)?;
-                        // [N·OH·OW, R_f]; the parallel lowering is
-                        // bit-identical to `im2col` (same index order),
-                        // so single-worker passes take the serial one.
-                        let cols = if reference || workers <= 1 {
-                            im2col(&h, *geom)?
-                        } else {
-                            nebula_tensor::par::im2col(&h, *geom)?
-                        };
-                        let spatial = oh * ow;
-                        let total_rows = n * spatial;
-                        let ys = if reference {
-                            let mut ys = Vec::with_capacity(total_rows);
-                            for ri in 0..total_rows {
-                                let row = &cols.data()[ri * matrix.rf..(ri + 1) * matrix.rf];
-                                ys.push(matrix.dot_reference(row)?);
-                            }
-                            ys
-                        } else {
-                            let rf = matrix.rf;
-                            let data = cols.data();
-                            matrix.dot_batch_with(total_rows, workers, |ri| {
-                                &data[ri * rf..(ri + 1) * rf]
-                            })?
-                        };
-                        self.waves += total_rows as u64;
-                        let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
-                        for img in 0..n {
-                            for s in 0..spatial {
-                                let y = &ys[img * spatial + s];
-                                for (o, (&v, &b)) in y.iter().zip(bias.iter()).enumerate() {
-                                    out.data_mut()
-                                        [img * *out_channels * spatial + o * spatial + s] = v + b;
-                                }
-                            }
-                        }
-                        out
-                    }
-                    AnalogStage::Relu => h.relu(),
-                    AnalogStage::Quant { amax, levels } => {
-                        let step = *amax / (*levels - 1) as f32;
-                        h.map(|v| (v.clamp(0.0, *amax) / step).round() * step)
-                    }
-                    AnalogStage::AvgPool { k } => avg_pool2d(&h, *k)?,
-                    AnalogStage::Flatten => {
-                        let n = h.shape()[0];
-                        let rest: usize = h.shape()[1..].iter().product();
-                        h.reshape(&[n, rest])?
-                    }
-                };
+            for (at, stage) in stages.iter_mut().enumerate() {
+                h = self
+                    .run_stage(stage, h, reference, workers)
+                    .map_err(|e| at_stage(self.first_stage + at, e))?;
             }
             Ok(h)
         })();
         self.stages = stages;
         result
+    }
+
+    /// Runs one stage on `h`, reusing its buffer where the stage maps
+    /// elementwise. Synaptic stages check `h` against their receptive
+    /// field first, so malformed input is a geometry error, never a
+    /// panic or a silently wrong result.
+    fn run_stage(
+        &mut self,
+        stage: &mut AnalogStage,
+        mut h: Tensor,
+        reference: bool,
+        workers: usize,
+    ) -> Result<Tensor, AnalogError> {
+        Ok(match stage {
+            AnalogStage::Dense { matrix, bias } => {
+                let (n, rf, cols) = match h.shape() {
+                    &[n, features] if features == matrix.rf => (n, matrix.rf, matrix.cols),
+                    shape => {
+                        return Err(AnalogError::BadGeometry {
+                            reason: format!(
+                                "dense stage expects [n, {}] input, got {shape:?}",
+                                matrix.rf
+                            ),
+                        })
+                    }
+                };
+                let data = h.data();
+                let mut ys = if reference {
+                    let mut ys = Vec::with_capacity(n * cols);
+                    for row in data.chunks_exact(rf) {
+                        ys.extend_from_slice(&matrix.dot_reference(row)?);
+                    }
+                    ys
+                } else {
+                    let x_scale = matrix.x_scale;
+                    matrix.dot_batch_with(n, workers, |i, drive| {
+                        for (d, &v) in drive.iter_mut().zip(&data[i * rf..(i + 1) * rf]) {
+                            *d = f64::from(drive_level(v, x_scale));
+                        }
+                    })
+                };
+                self.waves += n as u64;
+                for y in ys.chunks_exact_mut(cols) {
+                    for (v, b) in y.iter_mut().zip(bias.iter()) {
+                        *v += b;
+                    }
+                }
+                Tensor::from_vec(ys, &[n, cols])?
+            }
+            AnalogStage::Conv { matrix, bias, geom } => {
+                let (rf, cols) = (matrix.rf, matrix.cols);
+                let (n, c, hh, ww) = match h.shape() {
+                    &[n, c, hh, ww] if c * geom.kh * geom.kw == rf => (n, c, hh, ww),
+                    shape => {
+                        return Err(AnalogError::BadGeometry {
+                            reason: format!(
+                                "conv stage ({}×{} kernel, {rf} rows) expects [n, {}, h, w] \
+                                 input, got {shape:?}",
+                                geom.kh,
+                                geom.kw,
+                                rf / (geom.kh * geom.kw)
+                            ),
+                        })
+                    }
+                };
+                let (oh, ow) = geom.out_hw(hh, ww)?;
+                let spatial = oh * ow;
+                let total_rows = n * spatial;
+                let ys = if reference {
+                    // The oracle materializes the [N·OH·OW, R_f] patch
+                    // matrix; the fast path gathers the same rows.
+                    let patches = im2col(&h, *geom)?;
+                    let mut ys = Vec::with_capacity(total_rows * cols);
+                    for row in patches.data().chunks_exact(rf) {
+                        ys.extend_from_slice(&matrix.dot_reference(row)?);
+                    }
+                    ys
+                } else {
+                    // Normalize each input element once, not once per
+                    // tap that reads it.
+                    let x_scale = matrix.x_scale;
+                    let mut levels = h.into_vec();
+                    for v in &mut levels {
+                        *v = drive_level(*v, x_scale);
+                    }
+                    let fm = FeatureMap::new(&levels, [c, hh, ww], *geom, [oh, ow]);
+                    matrix.dot_batch_with(total_rows, workers, |ri, drive| fm.patch(ri, drive))
+                };
+                self.waves += total_rows as u64;
+                let mut out = vec![0.0f32; n * cols * spatial];
+                for (img, out) in out.chunks_exact_mut(cols * spatial).enumerate() {
+                    for s in 0..spatial {
+                        let y = &ys[(img * spatial + s) * cols..][..cols];
+                        for (o, (&v, &b)) in y.iter().zip(bias.iter()).enumerate() {
+                            out[o * spatial + s] = v + b;
+                        }
+                    }
+                }
+                Tensor::from_vec(out, &[n, cols, oh, ow])?
+            }
+            AnalogStage::Relu => {
+                for v in h.data_mut() {
+                    *v = v.max(0.0);
+                }
+                h
+            }
+            AnalogStage::Quant { amax, levels } => {
+                let step = *amax / (*levels - 1) as f32;
+                for v in h.data_mut() {
+                    *v = (v.clamp(0.0, *amax) / step).round() * step;
+                }
+                h
+            }
+            AnalogStage::AvgPool { k } => avg_pool2d(&h, *k)?,
+            AnalogStage::Flatten => match *h.shape() {
+                [n, ref rest @ ..] => {
+                    let shape = [n, rest.iter().product()];
+                    Tensor::from_vec(h.into_vec(), &shape)?
+                }
+                [] => {
+                    return Err(AnalogError::BadGeometry {
+                        reason: "flatten stage fed a rank-0 tensor".into(),
+                    })
+                }
+            },
+        })
     }
 
     /// Predicted class per input row.
@@ -603,11 +755,40 @@ impl AnalogNetwork {
     /// to a relative error ≤ 1e-12 per dot instead of bitwise (see
     /// [`nebula_crossbar::kernel`]).
     pub fn set_kernel_path(&mut self, path: KernelPath) {
-        for stage in &mut self.stages {
-            if let AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } = stage {
-                matrix.set_kernel_path(path);
-            }
+        for matrix in self.stages.iter_mut().filter_map(AnalogStage::matrix_mut) {
+            matrix.set_kernel_path(path);
         }
+    }
+
+    /// The programmed super-tiles in stage-then-tile compile order.
+    fn tiles_mut(&mut self) -> impl Iterator<Item = &mut SuperTile> {
+        self.stages
+            .iter_mut()
+            .filter_map(AnalogStage::matrix_mut)
+            .flat_map(|m| m.tiles.iter_mut().flatten())
+    }
+
+    /// Samples hard faults into every programmed super-tile, in stage
+    /// then tile order (the draw sequence is reproducible for a fixed
+    /// seed). Returns the total number of faulty cells.
+    pub fn inject_faults<R: Rng + ?Sized>(&mut self, model: &FaultModel, rng: &mut R) -> usize {
+        self.tiles_mut().map(|t| t.inject_faults(model, rng)).sum()
+    }
+
+    /// Power-gates one atomic crossbar: `tile` counts super-tiles in
+    /// stage-then-tile compile order (see
+    /// [`supertile_count`](Self::supertile_count)), `ac` is the AC index
+    /// within it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tile` or `ac` is out of range.
+    pub fn kill_ac(&mut self, tile: usize, ac: usize) {
+        let count = self.supertile_count();
+        self.tiles_mut()
+            .nth(tile)
+            .unwrap_or_else(|| panic!("super-tile {tile} outside the {count} programmed tiles"))
+            .kill_ac(ac);
     }
 
     /// Bytes the conductance caches backing the current kernel path
@@ -617,12 +798,8 @@ impl AnalogNetwork {
     pub fn conductance_cache_bytes(&mut self) -> usize {
         self.stages
             .iter_mut()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.kernel_cache_bytes()
-                }
-                _ => 0,
-            })
+            .filter_map(AnalogStage::matrix_mut)
+            .map(ProgrammedMatrix::kernel_cache_bytes)
             .sum()
     }
 
@@ -864,6 +1041,55 @@ mod tests {
             (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
             "auto energy {e_vec} vs reference {e_ref}"
         );
+    }
+
+    #[test]
+    fn malformed_inputs_are_typed_geometry_errors_on_every_entry_point() {
+        // A conv stage compiled for 3 input channels and a dense stage
+        // compiled for 16 features: wrong ranks, channel counts and
+        // feature counts must fail with a geometry error naming the
+        // stage, never panic or return garbage.
+        let mut r = rng();
+        let conv = compile_ann(&Network::new(vec![
+            L::conv2d(3, 4, 3, 1, 1, &mut r),
+            L::relu(),
+            L::flatten(),
+            L::dense(4 * 8 * 8, 5, &mut r),
+        ]))
+        .unwrap();
+        let dense = compile_ann(&Network::new(vec![L::relu(), L::dense(16, 4, &mut r)])).unwrap();
+        let expect_stage = |res: Result<Tensor, AnalogError>, stage: &str, what: &str| match res {
+            Err(AnalogError::BadGeometry { reason }) => {
+                assert!(reason.starts_with(stage), "{what}: {reason}");
+            }
+            other => panic!("{what}: expected a geometry error, got {other:?}"),
+        };
+        let cases = [
+            (&conv, Tensor::full(&[2, 192], 0.5), "stage 0"),
+            (&conv, Tensor::full(&[2, 4, 8, 8], 0.5), "stage 0"),
+            (&conv, Tensor::full(&[2, 1, 8, 8], 0.5), "stage 0"),
+            (&dense, Tensor::full(&[2, 20], 0.5), "stage 1"),
+            (&dense, Tensor::full(&[2, 12], 0.5), "stage 1"),
+            (&dense, Tensor::full(&[2, 1, 4, 4], 0.5), "stage 1"),
+        ];
+        let cfg = crate::multichip::PipelineConfig::default();
+        for (net, x, stage) in cases {
+            let what = format!("input {:?}", x.shape());
+            expect_stage(net.clone().forward(&x), stage, &what);
+            expect_stage(net.clone().forward_sequential(&x), stage, &what);
+            for workers in [1, 3] {
+                expect_stage(net.clone().forward_with_workers(&x, workers), stage, &what);
+            }
+            let mut sharded =
+                crate::multichip::ShardedAnalogNetwork::layer_pipelined(net.clone(), 1).unwrap();
+            expect_stage(sharded.forward(&x), stage, &what);
+            expect_stage(sharded.forward_pipelined(&x, &cfg), stage, &what);
+        }
+        let y = conv
+            .clone()
+            .forward(&Tensor::full(&[2, 3, 8, 8], 0.5))
+            .unwrap();
+        assert_eq!(y.shape(), [2, 5]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ([`crate::analog`]) and the SNN path, differing only in drivers,
 //! read voltage and the neuron circuit at the columns.
 
-use crate::analog::AnalogError;
+use crate::analog::{at_stage, AnalogError};
 use crate::components::{M, MAX_RF_IN_CORE};
 use nebula_crossbar::{CrossbarConfig, KernelPath, Mode, SpikeRowKernel, SuperTile};
 use nebula_device::units::{Joules, Seconds};
@@ -657,6 +657,10 @@ pub struct AnalogSpikingNetwork {
     pub(crate) stages: Vec<SpikingAnalogStage>,
     pub(crate) encoding: InputEncoding,
     pub(crate) timestep_waves: u64,
+    /// Index of `stages[0]` in the network this one was cut from (0
+    /// unless it is a multi-chip unit), so geometry errors name the
+    /// whole network's stage.
+    pub(crate) first_stage: usize,
 }
 
 /// Compiles a converted spiking network onto SNN-mode crossbars.
@@ -707,6 +711,7 @@ pub fn compile_snn(
         stages,
         encoding: InputEncoding::Poisson,
         timestep_waves: 0,
+        first_stage: 0,
     })
 }
 
@@ -1041,7 +1046,7 @@ impl AnalogSpikingNetwork {
                         Ok(h.reshape(&[n, rest])?)
                     }
                 }
-                .map_err(|e| at_stage(range.start + at, e))?;
+                .map_err(|e| at_stage(self.first_stage + range.start + at, e))?;
             }
             Ok(())
         })();
@@ -1094,16 +1099,6 @@ impl AnalogSpikingNetwork {
     /// timestep).
     pub fn waves(&self) -> u64 {
         self.timestep_waves
-    }
-}
-
-/// Prefixes a geometry error with the index of the stage it arose in.
-fn at_stage(stage: usize, e: AnalogError) -> AnalogError {
-    match e {
-        AnalogError::BadGeometry { reason } => AnalogError::BadGeometry {
-            reason: format!("stage {stage}: {reason}"),
-        },
-        e => e,
     }
 }
 

@@ -404,12 +404,14 @@ impl<N: UnitNet> Unit<N> {
 /// Cuts a compiled stage list into units. `place` gives stage `i` its
 /// chip and, for a tensor-sharded stage, its remote chips; such a stage
 /// is a unit of its own, while consecutive stages on one chip share a
-/// unit. `wrap` builds a unit's network from its stages.
+/// unit. `wrap(first, stages)` builds a unit's network from its
+/// stages, the first of which is stage `first` of the whole network.
 fn cut_units<S, N>(
     stages: Vec<S>,
     place: impl Fn(usize, &S) -> (usize, Option<Vec<usize>>),
-    wrap: impl Fn(Vec<S>) -> N,
+    wrap: impl Fn(usize, Vec<S>) -> N,
 ) -> Vec<Unit<N>> {
+    let stage_count = stages.len();
     let mut units = Vec::new();
     let mut span: Vec<S> = Vec::new();
     let mut span_chip = HOME;
@@ -418,14 +420,14 @@ fn cut_units<S, N>(
         if !span.is_empty() && (chip != span_chip || remote.is_some()) {
             units.push(Unit {
                 chip: span_chip,
-                net: wrap(std::mem::take(&mut span)),
+                net: wrap(i - span.len(), std::mem::take(&mut span)),
                 remote: Vec::new(),
             });
         }
         match remote {
             Some(remote) => units.push(Unit {
                 chip,
-                net: wrap(vec![stage]),
+                net: wrap(i, vec![stage]),
                 remote,
             }),
             None => {
@@ -437,7 +439,7 @@ fn cut_units<S, N>(
     if !span.is_empty() {
         units.push(Unit {
             chip: span_chip,
-            net: wrap(span),
+            net: wrap(stage_count - span.len(), span),
             remote: Vec::new(),
         });
     }
@@ -535,19 +537,14 @@ impl ShardedAnalogNetwork {
                     shape = vec![matrix.cols];
                     (matrix.rf as u64) * matrix.cols as u64
                 }
-                AnalogStage::Conv {
-                    matrix,
-                    geom,
-                    out_channels,
-                    ..
-                } => {
+                AnalogStage::Conv { matrix, geom, .. } => {
                     if shape.len() != 3 {
                         return Err(AnalogError::BadGeometry {
                             reason: format!("conv stage fed rank-{} image", shape.len()),
                         });
                     }
                     let (oh, ow) = geom.out_hw(shape[1], shape[2])?;
-                    shape = vec![*out_channels, oh, ow];
+                    shape = vec![matrix.cols, oh, ow];
                     (oh * ow) as u64 * matrix.rf as u64 * matrix.cols as u64
                 }
                 AnalogStage::AvgPool { k } => {
@@ -604,9 +601,10 @@ impl ShardedAnalogNetwork {
             cluster: default_cluster(chips)?,
             strategy,
             donor_waves: net.waves,
-            units: cut_units(net.stages, place, |stages| AnalogNetwork {
+            units: cut_units(net.stages, place, |first_stage, stages| AnalogNetwork {
                 stages,
                 waves: 0,
+                first_stage,
             }),
         })
     }
@@ -883,10 +881,13 @@ impl ShardedSpikingNetwork {
             strategy,
             encoding,
             donor_waves: net.timestep_waves,
-            units: cut_units(net.stages, place, |stages| AnalogSpikingNetwork {
-                stages,
-                encoding,
-                timestep_waves: 0,
+            units: cut_units(net.stages, place, |first_stage, stages| {
+                AnalogSpikingNetwork {
+                    stages,
+                    encoding,
+                    timestep_waves: 0,
+                    first_stage,
+                }
             }),
         })
     }
@@ -1128,6 +1129,42 @@ mod tests {
             InputEncoding::Poisson,
         );
         crate::analog_snn::compile_snn_default(&snn).unwrap()
+    }
+
+    #[test]
+    fn sharded_geometry_errors_name_the_network_stage() {
+        // A tensor-sharded wide layer is a unit of its own; a bad input
+        // reaching it must name its index in the whole network, as the
+        // single-chip engine does, not its index inside the unit.
+        let expect = |res: Result<Tensor, AnalogError>, what: &str| match res {
+            Err(AnalogError::BadGeometry { reason }) => {
+                assert!(reason.starts_with("stage 1:"), "{what}: {reason}");
+            }
+            other => panic!("{what}: expected a geometry error, got {other:?}"),
+        };
+        let mut r = ChaCha8Rng::seed_from_u64(5);
+        let ann = crate::analog::compile_ann(&nebula_nn::network::Network::new(vec![
+            Layer::relu(),
+            Layer::dense(MAX_RF_IN_CORE + 7, 4, &mut r),
+        ]))
+        .unwrap();
+        let x = Tensor::full(&[2, MAX_RF_IN_CORE], 0.5);
+        expect(ann.clone().forward(&x), "single-chip ANN");
+        let mut sharded = ShardedAnalogNetwork::tensor_sharded(ann, 2).unwrap();
+        expect(sharded.forward(&x), "sharded ANN");
+        let cfg = PipelineConfig::default();
+        expect(sharded.forward_pipelined(&x, &cfg), "pipelined ANN");
+        let snn = crate::analog_snn::compile_snn_default(&SpikingNetwork::new(
+            vec![
+                SnnStage::IntegrateFire(IfPopulation::new(0.7, ResetMode::Subtract)),
+                SnnStage::Synaptic(Layer::dense(MAX_RF_IN_CORE + 5, 3, &mut r)),
+            ],
+            InputEncoding::Constant,
+        ))
+        .unwrap();
+        let mut sharded = ShardedSpikingNetwork::tensor_sharded(snn, 2).unwrap();
+        expect(sharded.run(&x, 2, &mut r), "sharded SNN");
+        expect(sharded.run_pipelined(&x, 2, &mut r, &cfg), "pipelined SNN");
     }
 
     #[test]

@@ -36,9 +36,11 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct AtomicCrossbar {
     config: CrossbarConfig,
-    /// Programmed conductances (siemens), row-major `m × m`; unused cells
-    /// stay at the mid conductance so they contribute zero differential
-    /// current.
+    /// Programmed conductances (siemens) of the programmed block only,
+    /// row-major `rows_used × cols_used`. Every cell outside the block
+    /// sits at the mid conductance and contributes zero differential
+    /// current, so it is not stored: a super-tile's idle arrays hold
+    /// nothing.
     conductance: Vec<f64>,
     rows_used: usize,
     cols_used: usize,
@@ -297,9 +299,8 @@ impl AtomicCrossbar {
         let g_min = probe.min_conductance().0;
         let g_max = probe.max_conductance().0;
         let levels = probe.levels();
-        let g_mid = (g_min + g_max) / 2.0;
         Ok(Self {
-            conductance: vec![g_mid; config.m * config.m],
+            conductance: Vec::new(),
             rows_used: 0,
             cols_used: 0,
             weight_clip: 1.0,
@@ -551,8 +552,7 @@ impl AtomicCrossbar {
         }
         self.weight_clip = weight_clip;
         self.eff_cache = None;
-        let g_mid = self.g_mid();
-        self.conductance.fill(g_mid);
+        self.conductance.clear();
         // One calibrated programming event per cell: the device crate's
         // ~100 fJ spin-Hall write.
         let probe = DwMtjSynapse::new(&self.config.device);
@@ -562,11 +562,9 @@ impl AtomicCrossbar {
                 * self.config.device.switching_time()
         };
         let _ = probe;
-        for (r, row) in weights.iter().enumerate() {
-            for (c, &w) in row.iter().enumerate() {
-                self.conductance[r * m + c] = self.weight_to_conductance(w);
-                self.program_energy += per_cell;
-            }
+        for &w in weights.iter().flatten() {
+            self.conductance.push(self.weight_to_conductance(w));
+            self.program_energy += per_cell;
         }
         self.rows_used = rows;
         self.cols_used = cols;
@@ -583,8 +581,7 @@ impl AtomicCrossbar {
     /// kill switch describe broken hardware, which a reprogram cannot
     /// repair.
     pub fn reset(&mut self) {
-        let g_mid = self.g_mid();
-        self.conductance.fill(g_mid);
+        self.conductance = Vec::new();
         self.rows_used = 0;
         self.cols_used = 0;
         self.weight_clip = 1.0;
@@ -599,7 +596,15 @@ impl AtomicCrossbar {
         if self.dead {
             return 0.0;
         }
-        let g = self.conductance[row * self.m() + col];
+        assert!(
+            row < self.m() && col < self.m(),
+            "cell ({row}, {col}) outside the array"
+        );
+        let g = if row < self.rows_used && col < self.cols_used {
+            self.conductance[row * self.cols_used + col]
+        } else {
+            self.g_mid()
+        };
         let g = match self.cell_fault(row, col) {
             Some(fault) => fault.apply(g, &self.envelope(), self.age),
             None => g,
@@ -718,10 +723,9 @@ impl AtomicCrossbar {
     /// The fault/age-resolved effective conductance of cell `(r, j)` —
     /// exactly the value the legacy per-cell loop computes per visit.
     fn resolved_g(&self, r: usize, j: usize, faulty: bool) -> f64 {
-        let idx = r * self.m() + j;
-        let g = self.conductance[idx];
+        let g = self.conductance[r * self.cols_used + j];
         if faulty {
-            self.fault_adjust(idx, g)
+            self.fault_adjust(r * self.m() + j, g)
         } else {
             g
         }
@@ -912,23 +916,37 @@ impl AtomicCrossbar {
             return 0.0;
         }
         self.ensure_cache();
-        self.eval_dense_prepared(inputs, diff)
+        let mut active = vec![0u32; inputs.len()];
+        let k = kernel::index_active(inputs, &mut active);
+        self.eval_dense_prepared(inputs, &active[..k], 0, diff)
     }
 
     /// `&self` core of [`eval_cached`](Self::eval_cached), for callers
     /// that already ran [`prepare`](Self::prepare) — parallel batch
     /// workers evaluate through this without mutating the array; energy
     /// is accrued afterwards by the owner via
-    /// [`accrue_read`](Self::accrue_read). `diff` must be at least
-    /// [`padded_cols`](Self::padded_cols) long; the f64 lane kernel
-    /// writes (zero) into the padding tail, and only `diff[..cols_used]`
-    /// is meaningful.
+    /// [`accrue_read`](Self::accrue_read).
+    ///
+    /// `active` lists the driven rows in ascending order, offset by
+    /// `base` (row `r` of this array is entry `r − base`), exactly as
+    /// [`kernel::index_active`] builds it: the caller indexes a whole
+    /// receptive field once and hands each array its sub-slice, and
+    /// silent rows are never visited on either kernel path. `diff` must
+    /// be at least [`padded_cols`](Self::padded_cols) long; the f64 lane
+    /// kernel writes (zero) into the padding tail, and only
+    /// `diff[..cols_used]` is meaningful.
     ///
     /// # Panics
     ///
     /// Panics when the cache is dirty (no `prepare` since the last state
     /// mutation); the array being dead is fine (draws nothing).
-    pub(crate) fn eval_dense_prepared(&self, inputs: &[f64], diff: &mut [f64]) -> f64 {
+    pub(crate) fn eval_dense_prepared(
+        &self,
+        inputs: &[f64],
+        active: &[u32],
+        base: usize,
+        diff: &mut [f64],
+    ) -> f64 {
         if self.dead {
             return 0.0;
         }
@@ -940,11 +958,9 @@ impl AtomicCrossbar {
                 let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
                 let g_mid = self.g_mid();
                 let cols = self.cols_used;
-                for (r, &x) in inputs.iter().enumerate() {
-                    if x == 0.0 {
-                        continue; // event-driven: silent rows draw no read current
-                    }
-                    let v = v_read * x;
+                for &r in active {
+                    let r = r as usize - base;
+                    let v = v_read * inputs[r];
                     let row = &eff[r * cols..(r + 1) * cols];
                     for (j, &g) in row.iter().enumerate() {
                         diff[j] += v * (g - g_mid);
@@ -952,19 +968,12 @@ impl AtomicCrossbar {
                     }
                 }
             }
-            // Dense drives always take the f64 lane layout: its axpy
-            // beats a per-drive LUT fill over the packed one.
+            // Dense drives always take the f64 lane layout: its register
+            // tiles beat a per-drive LUT fill over the packed one.
             KernelPath::Auto => {
                 let vl = cache.vector.as_ref().expect(PREPARE_MSG);
-                let pc = vl.padded_cols;
-                for (r, &x) in inputs.iter().enumerate() {
-                    if x == 0.0 {
-                        continue;
-                    }
-                    let v = v_read * x;
-                    total_current += v * vl.row_sum[r];
-                    kernel::axpy(v, &vl.dg[r * pc..(r + 1) * pc], diff);
-                }
+                total_current =
+                    kernel::dense_tiles(v_read, inputs, active, base, &vl.dg, &vl.row_sum, diff);
             }
         }
         total_current
@@ -1180,7 +1189,7 @@ impl AtomicCrossbar {
                 continue; // event-driven: silent rows draw no read current
             }
             let v = v_read * x;
-            let row = &self.conductance[r * m..r * m + cols];
+            let row = &self.conductance[r * cols..(r + 1) * cols];
             for (j, &g) in row.iter().enumerate() {
                 let mut g_eff = noise.sample(g);
                 if faulty {
@@ -1451,6 +1460,76 @@ mod tests {
             "auto energy {e_vec} vs reference {e_ref}"
         );
         assert_eq!(x.evaluations(), reference.evaluations());
+    }
+
+    #[test]
+    fn dense_tiles_match_the_per_cell_scalar_loop_bitwise() {
+        use nebula_device::fault::{FaultClass, FaultModel};
+        // Column counts hit a lone 8-lane tail (8, 10), whole 16-lane
+        // tiles (16, 128), and tiles plus a tail (24, 40); drives mix
+        // silent rows, a fully silent vector and a fully driven one.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        for cols in [1usize, 8, 10, 16, 24, 40, 128] {
+            for faulted in [false, true] {
+                let rows = 37;
+                let w: Vec<Vec<f64>> = (0..rows)
+                    .map(|_| (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                    .collect();
+                let mut x = xbar(Mode::Ann);
+                x.program(&w, 1.0).unwrap();
+                if faulted {
+                    let tmr = FaultModel::single(FaultClass::TmrDegradation, 0.2);
+                    x.inject_faults(&tmr, &mut rng);
+                }
+                let drives: [Vec<f64>; 3] = [
+                    (0..rows)
+                        .map(|r| {
+                            if r % 3 == 1 {
+                                0.0
+                            } else {
+                                rng.gen_range(0.0..1.0)
+                            }
+                        })
+                        .collect(),
+                    vec![0.0; rows],
+                    (0..rows).map(|_| rng.gen_range(0.01..1.0)).collect(),
+                ];
+                let (mut auto, mut scalar, mut legacy) = (x.clone(), x.clone(), x);
+                scalar.set_kernel_path(KernelPath::Scalar);
+                for drive in &drives {
+                    let want = legacy.dot_reference(drive).unwrap();
+                    let label = format!("cols {cols} faulted {faulted}");
+                    assert_eq!(auto.dot(drive).unwrap(), want, "{label}: auto");
+                    assert_eq!(scalar.dot(drive).unwrap(), want, "{label}: scalar");
+                }
+                let e_ref = legacy.accumulated_read_energy().0;
+                assert_eq!(
+                    scalar.accumulated_read_energy().0.to_bits(),
+                    e_ref.to_bits()
+                );
+                let e_auto = auto.accumulated_read_energy().0;
+                assert!(
+                    (e_auto - e_ref).abs() <= 1e-12 * e_ref,
+                    "{e_auto} vs {e_ref}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_programmed_block_is_stored() {
+        let mut x = xbar(Mode::Ann);
+        assert!(x.conductance.is_empty(), "an idle array stores nothing");
+        x.program(&[vec![0.5, -0.5, 1.0], vec![0.25, 0.0, -1.0]], 1.0)
+            .unwrap();
+        assert_eq!(x.conductance.len(), 6);
+        // Cells outside the block read as mid conductance: weight zero.
+        assert_eq!(x.effective_weight(1, 5), 0.0);
+        assert_eq!(x.effective_weight(7, 0), 0.0);
+        assert!((x.effective_weight(0, 2) - 1.0).abs() < 0.1);
+        x.reset();
+        assert!(x.conductance.is_empty());
+        assert_eq!(x.effective_weight(0, 2), 0.0);
     }
 
     #[test]

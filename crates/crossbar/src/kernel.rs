@@ -170,6 +170,138 @@ pub(crate) fn axpy(v: f64, dg: &[f64], acc: &mut [f64]) {
     }
 }
 
+/// Column-tile width of [`dense_tiles`]: 16 f64 accumulators stay in
+/// registers across every active row (8 XMM registers on SSE2, 4 YMM on
+/// AVX2).
+pub(crate) const TILE: usize = 16;
+
+/// Writes the ascending indices of the driven (`x != 0.0`) entries of
+/// `drive` into `out[..k]` and returns `k` — the dense evaluators' one
+/// silent-row rule. Branch-free: every position is written and the
+/// cursor only advances past driven entries, so a mix of zero and
+/// non-zero drives costs no mispredicts.
+///
+/// # Panics
+///
+/// Panics when `out` is shorter than `drive` or `drive` holds more than
+/// `u32::MAX` entries.
+#[inline]
+pub fn index_active(drive: &[f64], out: &mut [u32]) -> usize {
+    assert!(u32::try_from(drive.len()).is_ok(), "drive too long");
+    let out = &mut out[..drive.len()];
+    let mut k = 0usize;
+    for (r, &x) in drive.iter().enumerate() {
+        out[k] = r as u32;
+        k += usize::from(x != 0.0);
+    }
+    k
+}
+
+/// Dense GEMV over the f64 lane layout: for every active row of
+/// `active` (ascending, from [`index_active`]; row `r` is entry `r −
+/// base`) adds `v · dg[r]` into `diff[..padded_cols]` with `v = v_read ·
+/// inputs[r]`, and returns the drawn current `Σ v · row_sum[r]`. The
+/// stride of a `dg` row is `dg.len() / row_sum.len()`.
+///
+/// Columns are walked in [`TILE`]-lane tiles with an 8-lane tail; each
+/// tile holds its accumulators in registers across all active rows and
+/// touches `diff` once. The first tile also carries the drawn-current
+/// chain, whose add latency then hides behind the tile's lane work.
+/// Each `diff[j]` still receives exactly one `+= v · dg[r][j]` per
+/// active row, in ascending row order — the same operations on the same
+/// operands as the scalar loop — so outputs are bitwise identical to
+/// it; only the loop nest is swapped (rows inside column tiles). The
+/// current is one ascending chain over the same rows.
+#[inline]
+pub(crate) fn dense_tiles(
+    v_read: f64,
+    inputs: &[f64],
+    active: &[u32],
+    base: usize,
+    dg: &[f64],
+    row_sum: &[f64],
+    diff: &mut [f64],
+) -> f64 {
+    let drive = Drive {
+        v_read,
+        inputs,
+        active,
+        base,
+        dg,
+        row_sum,
+        padded_cols: dg.len().checked_div(row_sum.len()).unwrap_or(0),
+    };
+    debug_assert_eq!(drive.padded_cols % LANES, 0);
+    let diff = &mut diff[..drive.padded_cols];
+    let (full, tail) = diff.split_at_mut(drive.padded_cols / TILE * TILE);
+    let mut total = 0.0f64;
+    let mut tiles = full.chunks_exact_mut(TILE);
+    match (tiles.next(), tail.is_empty()) {
+        (Some(first), _) => drive.tile::<TILE, true>(0, first, &mut total),
+        (None, false) => drive.tile::<LANES, true>(0, tail, &mut total),
+        // No programmed columns: nothing to add, and every row sum is 0.
+        (None, true) => return drive.current(),
+    }
+    for (t, acc) in tiles.enumerate() {
+        drive.tile::<TILE, false>((t + 1) * TILE, acc, &mut total);
+    }
+    if !full.is_empty() && !tail.is_empty() {
+        drive.tile::<LANES, false>(full.len(), tail, &mut total);
+    }
+    total
+}
+
+/// The operands of one [`dense_tiles`] call.
+struct Drive<'a> {
+    v_read: f64,
+    inputs: &'a [f64],
+    active: &'a [u32],
+    base: usize,
+    dg: &'a [f64],
+    row_sum: &'a [f64],
+    padded_cols: usize,
+}
+
+impl Drive<'_> {
+    /// Adds every active row into the `W` columns of `out`, which start
+    /// at column `col`; with `CURRENT`, also adds each row's drawn
+    /// current into `total`.
+    #[inline(always)]
+    fn tile<const W: usize, const CURRENT: bool>(
+        &self,
+        col: usize,
+        out: &mut [f64],
+        total: &mut f64,
+    ) {
+        let out: &mut [f64; W] = out.try_into().expect("tile width");
+        let mut acc = *out;
+        let mut current = *total;
+        for &r in self.active {
+            let r = r as usize - self.base;
+            let v = self.v_read * self.inputs[r];
+            if CURRENT {
+                current += v * self.row_sum[r];
+            }
+            let row: &[f64; W] = self.dg[r * self.padded_cols + col..][..W]
+                .try_into()
+                .expect("tile width");
+            for l in 0..W {
+                acc[l] += v * row[l];
+            }
+        }
+        *out = acc;
+        *total = current;
+    }
+
+    /// The drawn current alone, for an array without columns.
+    fn current(&self) -> f64 {
+        self.active.iter().fold(0.0, |total, &r| {
+            let r = r as usize - self.base;
+            total + self.v_read * self.inputs[r] * self.row_sum[r]
+        })
+    }
+}
+
 /// Gathered LUT accumulate over one packed nibble row for the
 /// constant-voltage spike path: `pair[b]` pre-expands both nibbles of
 /// byte value `b` (`[vdg[b & 15], vdg[b >> 4]]`, where `vdg[s] =
@@ -218,6 +350,55 @@ mod tests {
         axpy(v, &dg, &mut acc);
         for (a, e) in acc.iter().zip(expect.iter()) {
             assert_eq!(a.to_bits(), e.to_bits());
+        }
+    }
+
+    #[test]
+    fn index_active_lists_exactly_the_driven_rows() {
+        let drive = [0.0, 0.5, -0.0, 1.0, 0.0, 0.25, f64::NAN];
+        let mut out = [u32::MAX; 7];
+        let k = index_active(&drive, &mut out);
+        assert_eq!(&out[..k], &[1, 3, 5, 6]);
+        assert_eq!(index_active(&[0.0; 4], &mut out), 0);
+    }
+
+    #[test]
+    fn dense_tiles_match_row_by_row_axpy_bitwise() {
+        // Tiles only swap the loop nest: every column still receives
+        // its rows in ascending order, exactly as one axpy per row.
+        let rows = 11;
+        for padded in [8usize, 16, 24, 40, 128] {
+            let dg: Vec<f64> = (0..rows * padded)
+                .map(|i| (i as f64 * 0.37).sin())
+                .collect();
+            let inputs: Vec<f64> = (0..rows).map(|r| (r % 4) as f64 * 0.3).collect();
+            let base = 5;
+            let mut active = vec![0u32; rows];
+            let k = index_active(&inputs, &mut active);
+            let active: Vec<u32> = active[..k].iter().map(|r| r + base as u32).collect();
+            let v_read = 0.4;
+            let mut want = vec![0.25f64; padded];
+            for &r in &active {
+                let r = r as usize - base;
+                axpy(
+                    v_read * inputs[r],
+                    &dg[r * padded..(r + 1) * padded],
+                    &mut want,
+                );
+            }
+            let row_sum: Vec<f64> = (0..rows).map(|r| 1e-3 * (r + 1) as f64).collect();
+            let mut want_current = 0.0f64;
+            for &r in &active {
+                let r = r as usize - base;
+                want_current += v_read * inputs[r] * row_sum[r];
+            }
+            let mut got = vec![0.25f64; padded + 3]; // longer: tail untouched
+            let current = dense_tiles(v_read, &inputs, &active, base, &dg, &row_sum, &mut got);
+            for (j, (a, e)) in got.iter().zip(want.iter()).enumerate() {
+                assert_eq!(a.to_bits(), e.to_bits(), "padded {padded} col {j}");
+            }
+            assert_eq!(&got[padded..], &[0.25; 3]);
+            assert_eq!(current.to_bits(), want_current.to_bits(), "padded {padded}");
         }
     }
 

@@ -398,13 +398,15 @@ impl SuperTile {
     /// Split-phase dense evaluation of one item: the compute half of
     /// [`dot`](Self::dot), usable through `&self` so a worker pool can
     /// evaluate many items against one prepared tile concurrently.
-    /// Writes the per-kernel differential currents into `totals` (len
-    /// [`kernels`](Self::kernels)) and the total (non-differential)
-    /// current each AC drew into `currents` (len
-    /// [`chunk_count`](Self::chunk_count)) — the caller must feed the
-    /// latter back through [`accrue_batch`](Self::accrue_batch) in item
-    /// order to keep energy counters bit-identical to the sequential
-    /// path. `diff` is scratch space (len ≥
+    /// `active` lists the item's driven rows of `inputs` in ascending
+    /// order, as [`kernel::index_active`] builds it; each AC walks only
+    /// its own sub-slice of it. Writes the per-kernel differential
+    /// currents into `totals` (len [`kernels`](Self::kernels)) and the
+    /// total (non-differential) current each AC drew into `currents`
+    /// (len [`chunk_count`](Self::chunk_count)) — the caller must feed
+    /// the latter back through [`accrue_batch`](Self::accrue_batch) in
+    /// item order to keep energy counters bit-identical to the
+    /// sequential path. `diff` is scratch space (len ≥
     /// [`scratch_cols`](Self::scratch_cols); contents ignored). All
     /// floating-point work happens in exactly [`dot`]'s order, so
     /// results are independent of worker count.
@@ -417,6 +419,7 @@ impl SuperTile {
     pub fn eval_dense_prepared(
         &self,
         inputs: &[f64],
+        active: &[u32],
         totals: &mut [Amps],
         currents: &mut [f64],
         diff: &mut [f64],
@@ -424,13 +427,19 @@ impl SuperTile {
         assert_eq!(inputs.len(), self.rf, "drive vector length != rf");
         let totals = &mut totals[..self.kernels];
         totals.fill(Amps::ZERO);
+        let mut lo = 0usize;
         for (chunk_idx, chunk) in inputs.chunks(self.m).enumerate() {
+            let start = chunk_idx * self.m;
+            let end = start + chunk.len();
+            let hi = lo + active[lo..].partition_point(|&r| (r as usize) < end);
             let diff = &mut diff[..self.scratch_cols()];
             diff.fill(0.0);
-            currents[chunk_idx] = self.acs[chunk_idx].eval_dense_prepared(chunk, diff);
+            currents[chunk_idx] =
+                self.acs[chunk_idx].eval_dense_prepared(chunk, &active[lo..hi], start, diff);
             for (t, &d) in totals.iter_mut().zip(diff[..self.kernels].iter()) {
                 *t += Amps(d); // Kirchhoff current summation, chunk-ascending
             }
+            lo = hi;
         }
     }
 
